@@ -23,6 +23,7 @@
 #include <fstream>
 #include <iostream>
 #include <new>
+#include <optional>
 #include <sstream>
 #include <string>
 
@@ -124,15 +125,19 @@ int main(int argc, char** argv) {
       "cdcm_delta/s", "cdcm_ckpt/s", "ckpt_spdup", "replay%", "batch_Tx",
       "cdcm_batchT/s", "hybrid/s", "allocs", "bnb_prune%", "bnb_done");
   for (const nocmap::core::EvalBenchRow& r : report.rows) {
+    char pruned[32] = "saturated";
+    if (const std::optional<double> frac = r.bnb_pruned_frac()) {
+      std::snprintf(pruned, sizeof pruned, "%.4f%%", 100.0 * *frac);
+    }
     std::printf(
         "%ux%-4u %12.0f %12.0f %12.0f %12.0f %12.0f %12.0f %10.1fx %8.1f%% "
-        "%8.2fx %12.0f %12.0f %7lld %9.4f%% %8s\n",
+        "%8.2fx %12.0f %12.0f %7lld %10s %8s\n",
         r.mesh_width, r.mesh_height, r.cwm_legacy_per_s, r.cwm_delta_per_s,
         r.cdcm_oneshot_per_s, r.cdcm_reuse_per_s, r.cdcm_delta_per_s,
         r.cdcm_ckpt_per_s, r.ckpt_speedup(), 100.0 * r.ckpt_replay_frac,
         r.cdcm_batch_scaling(), r.cdcm_batch_t_per_s, r.hybrid_per_s,
         static_cast<long long>(r.cdcm_allocs_per_run),
-        100.0 * r.bnb_pruned_frac(), r.bnb_complete ? "yes" : "no");
+        pruned, r.bnb_complete ? "yes" : "no");
   }
 
   std::ofstream out(out_path);

@@ -132,7 +132,7 @@ PipelineWorkload make_pipeline_workload(std::uint32_t tiles) {
 
 std::string EvalBenchReport::to_json() const {
   std::ostringstream os;
-  os << "{\n  \"bench\": \"eval_engine\",\n  \"schema\": 5,\n"
+  os << "{\n  \"bench\": \"eval_engine\",\n  \"schema\": 6,\n"
      << "  \"unit\": \"evaluations_per_second\",\n"
      << "  \"host_threads\": " << host_threads << ",\n"
      << "  \"rows\": [\n";
@@ -189,8 +189,15 @@ std::string EvalBenchReport::to_json() const {
        << ", \"bnb_nodes_pruned\": " << r.bnb_nodes_pruned
        << ", \"bnb_nodes_tested\": " << r.bnb_nodes_tested
        << ",\n     \"bnb_node_budget\": " << r.bnb_node_budget
-       << ", \"bnb_pruned_frac\": " << r.bnb_pruned_frac()
-       << ", \"bnb_complete\": " << (r.bnb_complete ? "true" : "false")
+       << ", \"bnb_pruned_saturated\": "
+       << (r.bnb_pruned_saturated() ? "true" : "false")
+       << ", \"bnb_pruned_frac\": ";
+    if (const std::optional<double> frac = r.bnb_pruned_frac()) {
+      os << *frac;
+    } else {
+      os << "null";
+    }
+    os << ", \"bnb_complete\": " << (r.bnb_complete ? "true" : "false")
        << ", \"bnb_best\": ";
     {
       std::ostringstream precise;

@@ -20,9 +20,12 @@
 /// documented in docs/bench-format.md.
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
+
+#include "nocmap/search/search_result.hpp"
 
 namespace nocmap::core {
 
@@ -107,7 +110,7 @@ struct EvalBenchRow {
   // --- Branch-and-bound exact CWM search (one run, not a rate loop) --------
   double bnb_evals_per_s = 0.0;        ///< Lower-bound tests per second.
   std::uint64_t bnb_nodes_visited = 0;
-  std::uint64_t bnb_nodes_pruned = 0;  ///< Eliminated subtree volume.
+  std::uint64_t bnb_nodes_pruned = 0;  ///< Eliminated volume; saturating.
   std::uint64_t bnb_nodes_tested = 0;
   std::uint64_t bnb_node_budget = 0;
   bool bnb_complete = false;           ///< Tree exhausted within the budget.
@@ -146,11 +149,13 @@ struct EvalBenchRow {
   double flit_tax() const {
     return cdcm_flit_per_s > 0 ? cdcm_reuse_per_s / cdcm_flit_per_s : 0.0;
   }
-  /// Fraction of the enumeration tree the bound eliminated.
-  double bnb_pruned_frac() const {
-    const double denom = static_cast<double>(bnb_nodes_visited) +
-                         static_cast<double>(bnb_nodes_pruned);
-    return denom > 0 ? static_cast<double>(bnb_nodes_pruned) / denom : 0.0;
+  bool bnb_pruned_saturated() const {
+    return bnb_nodes_pruned == search::kNodesPrunedSaturated;
+  }
+  /// Fraction of the enumeration tree the bound eliminated; empty when the
+  /// eliminated volume saturated its counter.
+  std::optional<double> bnb_pruned_frac() const {
+    return search::pruned_fraction(bnb_nodes_visited, bnb_nodes_pruned);
   }
 };
 
@@ -161,7 +166,7 @@ struct EvalBenchReport {
   /// reports ~1.0).
   std::uint32_t host_threads = 0;
 
-  /// Pretty-printed JSON document ({"bench": "eval_engine", "schema": 5,
+  /// Pretty-printed JSON document ({"bench": "eval_engine", "schema": 6,
   /// "rows": [...]}).
   std::string to_json() const;
 };

@@ -221,69 +221,6 @@ void CwmCost::swap_deltas(const Mapping& m,
 
 namespace {
 
-/// Minimum-cost assignment of `rows` x `cols` matrix `a` (row-major,
-/// rows <= cols): the Hungarian algorithm with potentials and shortest
-/// augmenting paths, O(rows^2 * cols). Returns the summed cost of the
-/// optimal matching (summed directly over the chosen entries, so the value
-/// is an actual matching cost even under floating-point rounding).
-double min_cost_assignment(const double* a, std::size_t rows,
-                           std::size_t cols, std::vector<double>& u,
-                           std::vector<double>& v, std::vector<int>& match,
-                           std::vector<double>& minv, std::vector<int>& way,
-                           std::vector<char>& used) {
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  u.assign(rows + 1, 0.0);
-  v.assign(cols + 1, 0.0);
-  match.assign(cols + 1, 0);  // match[j] = 1-based row occupying column j.
-  way.assign(cols + 1, 0);
-  for (std::size_t i = 1; i <= rows; ++i) {
-    match[0] = static_cast<int>(i);
-    std::size_t j0 = 0;
-    minv.assign(cols + 1, kInf);
-    used.assign(cols + 1, 0);
-    do {
-      used[j0] = 1;
-      const std::size_t i0 = static_cast<std::size_t>(match[j0]);
-      double delta = kInf;
-      std::size_t j1 = 0;
-      const double* row = a + (i0 - 1) * cols;
-      for (std::size_t j = 1; j <= cols; ++j) {
-        if (used[j]) continue;
-        const double cur = row[j - 1] - u[i0] - v[j];
-        if (cur < minv[j]) {
-          minv[j] = cur;
-          way[j] = static_cast<int>(j0);
-        }
-        if (minv[j] < delta) {
-          delta = minv[j];
-          j1 = j;
-        }
-      }
-      for (std::size_t j = 0; j <= cols; ++j) {
-        if (used[j]) {
-          u[static_cast<std::size_t>(match[j])] += delta;
-          v[j] -= delta;
-        } else {
-          minv[j] -= delta;
-        }
-      }
-      j0 = j1;
-    } while (match[j0] != 0);
-    do {
-      const std::size_t j1 = static_cast<std::size_t>(way[j0]);
-      match[j0] = match[j1];
-      j0 = j1;
-    } while (j0 != 0);
-  }
-  double cost = 0.0;
-  for (std::size_t j = 1; j <= cols; ++j) {
-    if (match[j] != 0) {
-      cost += a[(static_cast<std::size_t>(match[j]) - 1) * cols + (j - 1)];
-    }
-  }
-  return cost;
-}
-
 /// The hop lower bound shared by the CWM and CDCM objectives.
 ///
 /// Invariant classification of every CWG edge against the current partial
@@ -310,6 +247,25 @@ double min_cost_assignment(const double* a, std::size_t rows,
 /// every core is placed, bound() recomputes the total fresh in edge order,
 /// which makes it bitwise equal to CwmCost::cost() (and immune to push/pop
 /// floating-point drift).
+///
+/// Warm-started assignment. The assignment is solved in square form: one
+/// row per unplaced core plus num_tiles - num_cores zero-cost dummy rows
+/// against one column per free tile, so rows and columns stay equal in
+/// number at every depth (traffic-free cores have zero rows too). Each
+/// depth keeps the state of the last node bound() built there: the matrix
+/// and, once fully solved, the potentials, matching and value. unplace()
+/// and reset() invalidate every depth they leave, so a saved depth always
+/// describes a prefix of the current placement sequence and none lies
+/// deeper than the current placement. A child starts from its parent's
+/// state: it drops the placed core's row and the taken tile's column,
+/// reprices only the rows whose entries changed (the placed core's
+/// unplaced partners, plus the half-charge entries at tiles whose nearest
+/// free neighbour was the taken tile), unmatches the rows whose matched
+/// entry moved, and re-augments only the unmatched rows. Entries never
+/// decrease down a placement path, so the parent's potentials stay
+/// dual-feasible and the warm solve reaches the optimum a cold solve
+/// would; the matrix itself is bitwise the one a cold build produces
+/// (docs/search.md).
 class HopLowerBound final : public CostFunction::LowerBound {
  public:
   HopLowerBound(std::vector<graph::CwgEdge> edges, std::size_t num_cores,
@@ -344,15 +300,21 @@ class HopLowerBound final : public CostFunction::LowerBound {
     }
     placed_.resize(num_cores_, kUnplaced);
     occupied_.resize(num_tiles_, 0);
-    free_ebit_.resize(num_tiles_, 0.0);
+    levels_.resize(num_cores_);
+    zero_row_.assign(num_tiles_, 0.0);
+    minv_.resize(num_tiles_);
+    way_.resize(num_tiles_);
+    used_.resize(num_tiles_ + 1);
     reset();
   }
 
   void reset() override {
+    invalidate(0, num_placed_);
     std::fill(placed_.begin(), placed_.end(), kUnplaced);
     std::fill(occupied_.begin(), occupied_.end(), 0);
     num_placed_ = 0;
     prefix_j_ = 0.0;
+    order_.clear();
   }
 
   void place(graph::CoreId core, noc::TileId tile) override {
@@ -366,6 +328,7 @@ class HopLowerBound final : public CostFunction::LowerBound {
     placed_[core] = tile;
     occupied_[tile] = 1;
     ++num_placed_;
+    order_.push_back(Placement{core, tile});
   }
 
   void unplace(graph::CoreId core, noc::TileId tile) override {
@@ -379,76 +342,63 @@ class HopLowerBound final : public CostFunction::LowerBound {
                                                : table_.hops(far, tile)];
       }
     }
+    // The depths up to the core's own placement keep their prefix (for a
+    // stack-like caller the core is the last entry).
+    std::size_t pos = order_.size();
+    while (pos > 0 && order_[pos - 1].core != core) --pos;
+    order_.erase(order_.begin() + static_cast<std::ptrdiff_t>(pos - 1));
+    invalidate(pos, num_placed_ + 1);
   }
 
   double bound(double prune_above) const override {
     if (num_placed_ == num_cores_) return complete_cost() + extra_floor_j_;
 
-    // Free tiles, and per free tile the energy-per-bit of one hop to the
-    // nearest *other* free tile (either direction — admissible for both
-    // edge orientations). O(free^2) hop-table lookups per call.
     free_.clear();
     for (noc::TileId u = 0; u < num_tiles_; ++u) {
       if (!occupied_[u]) free_.push_back(u);
     }
-    for (const noc::TileId u : free_) {
-      std::uint32_t dmin = std::numeric_limits<std::uint32_t>::max();
-      for (const noc::TileId v : free_) {
-        if (v == u) continue;
-        dmin = std::min(dmin, std::min(table_.hops(u, v), table_.hops(v, u)));
+    Level& level = levels_[num_placed_];
+    const Level* parent = num_placed_ > 0 && levels_[num_placed_ - 1].built
+                              ? &levels_[num_placed_ - 1]
+                              : nullptr;
+    if (!level.built) {
+      if (parent) {
+        derive_matrix(level, *parent);
+      } else {
+        build_matrix(level);
       }
-      // A lone free tile can only host the last unplaced core, which by
-      // then has no unplaced partners, so the value is never read.
-      free_ebit_[u] =
-          dmin == std::numeric_limits<std::uint32_t>::max() ? 0.0 : ebit_[dmin];
+      level.built = true;
     }
 
-    // One matrix row per unplaced core with any traffic: entry (c, u) is a
-    // lower bound on c's remainder contribution if it lands on free tile u
-    // (its placed partners priced exactly, half of each unplaced-unplaced
-    // edge priced at u's nearest-free-tile hop count). A complete mapping
-    // assigns these cores *distinct* free tiles, so the minimum-cost
-    // assignment over the matrix — not just the sum of row minima — is
-    // still admissible, and substantially tighter when cores compete for
-    // the same good tiles.
-    matrix_.clear();
-    std::size_t rows = 0;
+    // Entry (c, u) of the matrix is a lower bound on core c's remainder
+    // contribution if it lands on free tile u (its placed partners priced
+    // exactly, half of each unplaced-unplaced edge priced at u's
+    // nearest-free-tile hop count). A complete mapping assigns the cores
+    // *distinct* free tiles, so the minimum-cost assignment over the matrix
+    // — not just the sum of row minima — is still admissible, and
+    // substantially tighter when cores compete for the same good tiles.
     const double base = prefix_j_ + extra_floor_j_;
     double cheap = base;  ///< base + sum of row minima: admissible itself.
     for (graph::CoreId c = 0; c < num_cores_; ++c) {
-      if (placed_[c] != kUnplaced) continue;
-      scratch_.clear();
-      double unplaced_bits = 0.0;
-      for (const Incident& e : incident_[c]) {
-        if (placed_[e.other] != kUnplaced) {
-          scratch_.push_back(Incident{placed_[e.other], e.bits, e.outgoing});
-        } else {
-          unplaced_bits += e.bits;
-        }
-      }
-      if (scratch_.empty() && unplaced_bits == 0.0) continue;
-      ++rows;
+      if (placed_[c] != kUnplaced || traffic_[c] == 0) continue;
+      const double* row = level.rows[c];
       double row_min = std::numeric_limits<double>::infinity();
-      for (const noc::TileId u : free_) {
-        double s = 0.5 * unplaced_bits * free_ebit_[u];
-        for (const Incident& e : scratch_) {
-          // `other` holds the placed partner's tile here.
-          s += e.bits * ebit_[e.outgoing ? table_.hops(u, e.other)
-                                         : table_.hops(e.other, u)];
-        }
-        matrix_.push_back(s);
-        if (s < row_min) row_min = s;
-      }
+      for (const noc::TileId u : free_) row_min = std::min(row_min, row[u]);
       cheap += row_min;
       // Cascade: a partial sum of row minima is already admissible, so the
-      // moment it exceeds the caller's threshold the assignment solve (and
-      // the remaining rows) is unnecessary.
+      // moment it exceeds the caller's threshold the assignment solve is
+      // unnecessary.
       if (cheap > prune_above) return cheap;
     }
-    if (rows == 0) return base;
-    return base + min_cost_assignment(matrix_.data(), rows, free_.size(),
-                                      hung_u_, hung_v_, hung_match_,
-                                      hung_minv_, hung_way_, hung_used_);
+    if (!level.solved) {
+      if (parent && parent->solved) {
+        warm_solve(level, *parent);
+      } else {
+        cold_solve(level);
+      }
+      level.solved = true;
+    }
+    return base + level.value;
   }
 
   std::uint64_t core_traffic(graph::CoreId core) const override {
@@ -458,13 +408,42 @@ class HopLowerBound final : public CostFunction::LowerBound {
  private:
   static constexpr noc::TileId kUnplaced =
       std::numeric_limits<noc::TileId>::max();
+  /// No partner: a free row or a free column of the assignment.
+  static constexpr std::uint32_t kNone =
+      std::numeric_limits<std::uint32_t>::max();
 
-  /// One edge endpoint as seen from a core; in bound()'s scratch buffer
-  /// `other` is reused to hold the placed partner's *tile*.
+  /// One edge endpoint as seen from a core; in the scratch buffer of
+  /// gather() `other` is reused to hold the placed partner's *tile*.
   struct Incident {
     std::uint32_t other = 0;
     double bits = 0.0;
     bool outgoing = false;
+  };
+
+  struct Placement {
+    graph::CoreId core = 0;
+    noc::TileId tile = 0;
+  };
+
+  /// The assignment state one depth saves (see the class comment). Rows are
+  /// numbered by core id, then the dummies from num_cores up; columns by
+  /// tile id. Only unplaced cores' rows and free tiles' columns are live.
+  struct Level {
+    bool built = false;   ///< dmin and rows describe the current prefix.
+    bool solved = false;  ///< u, v, matching and value are its optimum.
+    /// Per free tile: hops to the nearest other free tile (0 for the last
+    /// free tile: ebit_[0] is 0, and that tile can only host the last
+    /// unplaced core, which by then has no unplaced partners).
+    std::vector<std::uint32_t> dmin;
+    /// Per row: its entries indexed by tile, shared with the parent when
+    /// unchanged; zero_row_ for dummies and traffic-free cores.
+    std::vector<const double*> rows;
+    std::vector<double> pool;  ///< Storage of the rows repriced here.
+    std::vector<double> u;     ///< Row potentials.
+    std::vector<double> v;     ///< Column potentials.
+    std::vector<std::uint32_t> col_of_row;
+    std::vector<std::uint32_t> row_of_col;  ///< Plus augment()'s root slot.
+    double value = 0.0;  ///< The optimal assignment cost.
   };
 
   /// Fresh full evaluation in edge order — the exact CwmCost::cost() sum.
@@ -475,6 +454,243 @@ class HopLowerBound final : public CostFunction::LowerBound {
       energy_j += energy::dynamic_packet_energy(tech_, e.bits, k);
     }
     return energy_j;
+  }
+
+  /// Forget the saved states of depths `from` through `to`.
+  void invalidate(std::size_t from, std::size_t to) {
+    for (std::size_t d = from; d <= to && d < levels_.size(); ++d) {
+      levels_[d].built = levels_[d].solved = false;
+    }
+  }
+
+  /// Hop count from free tile `u` to the nearest *other* free tile (either
+  /// direction — admissible for both edge orientations); 0 when none.
+  std::uint32_t nearest_free(noc::TileId u) const {
+    std::uint32_t dmin = std::numeric_limits<std::uint32_t>::max();
+    for (const noc::TileId v : free_) {
+      if (v == u) continue;
+      dmin = std::min(dmin, std::min(table_.hops(u, v), table_.hops(v, u)));
+    }
+    return dmin == std::numeric_limits<std::uint32_t>::max() ? 0 : dmin;
+  }
+
+  /// Collect `core`'s placed partners (with their tiles) into scratch_ and
+  /// return its bits towards unplaced partners.
+  double gather(graph::CoreId core) const {
+    scratch_.clear();
+    double unplaced_bits = 0.0;
+    for (const Incident& e : incident_[core]) {
+      if (placed_[e.other] != kUnplaced) {
+        scratch_.push_back(Incident{placed_[e.other], e.bits, e.outgoing});
+      } else {
+        unplaced_bits += e.bits;
+      }
+    }
+    return unplaced_bits;
+  }
+
+  /// Price `core`'s matrix entries at the tiles `cols` into out[tile].
+  void price_row(graph::CoreId core, const std::vector<noc::TileId>& cols,
+                 const std::vector<std::uint32_t>& dmin, double* out) const {
+    const double unplaced_bits = gather(core);
+    for (const noc::TileId u : cols) {
+      double s = 0.5 * unplaced_bits * ebit_[dmin[u]];
+      for (const Incident& e : scratch_) {
+        s += e.bits * ebit_[e.outgoing ? table_.hops(u, e.other)
+                                       : table_.hops(e.other, u)];
+      }
+      out[u] = s;
+    }
+  }
+
+  /// Price the matrix of the current placement from scratch.
+  void build_matrix(Level& level) const {
+    level.dmin.resize(num_tiles_);
+    for (const noc::TileId u : free_) level.dmin[u] = nearest_free(u);
+    level.rows.assign(num_tiles_, zero_row_.data());
+    std::size_t live = 0;
+    for (graph::CoreId c = 0; c < num_cores_; ++c) {
+      if (placed_[c] == kUnplaced && traffic_[c] != 0) ++live;
+    }
+    level.pool.resize(live * num_tiles_);
+    double* out = level.pool.data();
+    for (graph::CoreId c = 0; c < num_cores_; ++c) {
+      if (placed_[c] != kUnplaced || traffic_[c] == 0) continue;
+      price_row(c, free_, level.dmin, out);
+      level.rows[c] = out;
+      out += num_tiles_;
+    }
+  }
+
+  /// The matrix of the current placement from the parent depth's: only the
+  /// rows that read a changed quantity are repriced, every other row is
+  /// shared. Bitwise the matrix build_matrix() produces.
+  void derive_matrix(Level& level, const Level& parent) const {
+    const Placement last = order_[num_placed_ - 1];
+    // Only a tile whose nearest free neighbour was the taken tile can move.
+    level.dmin = parent.dmin;
+    moved_.clear();
+    for (const noc::TileId u : free_) {
+      const std::uint32_t h = std::min(table_.hops(u, last.tile),
+                                       table_.hops(last.tile, u));
+      if (h != parent.dmin[u]) continue;
+      level.dmin[u] = nearest_free(u);
+      if (level.dmin[u] != parent.dmin[u]) moved_.push_back(u);
+    }
+    // Every entry of the placed core's unplaced partners changes (one of
+    // their unplaced edges became a placed one). A moved tile changes the
+    // half-charge entry at that tile in every row with unplaced traffic.
+    dirty_.clear();
+    const auto is_dirty = [&](graph::CoreId c) {
+      return std::find(dirty_.begin(), dirty_.end(), c) != dirty_.end();
+    };
+    for (const Incident& e : incident_[last.core]) {
+      if (placed_[e.other] == kUnplaced && traffic_[e.other] != 0 &&
+          !is_dirty(e.other)) {
+        dirty_.push_back(e.other);
+      }
+    }
+    const std::size_t partners = dirty_.size();
+    if (!moved_.empty()) {
+      for (graph::CoreId c = 0; c < num_cores_; ++c) {
+        if (placed_[c] == kUnplaced && traffic_[c] != 0 && !is_dirty(c) &&
+            gather(c) != 0.0) {
+          dirty_.push_back(c);
+        }
+      }
+    }
+    level.rows = parent.rows;
+    level.pool.resize(dirty_.size() * num_tiles_);
+    double* out = level.pool.data();
+    for (std::size_t i = 0; i < dirty_.size(); ++i, out += num_tiles_) {
+      const graph::CoreId c = dirty_[i];
+      if (i < partners) {
+        price_row(c, free_, level.dmin, out);
+      } else {
+        const double* shared = parent.rows[c];
+        for (const noc::TileId u : free_) out[u] = shared[u];
+        price_row(c, moved_, level.dmin, out);
+      }
+      level.rows[c] = out;
+    }
+  }
+
+  /// Cold start: zero potentials, every row free. The traffic rows augment
+  /// in core order; the zero rows then take the columns left over, with
+  /// u = 0. That is dual-feasible and tight: v <= 0 everywhere, and a free
+  /// column still has v = 0 because no phase has scanned it as used.
+  void cold_solve(Level& level) const {
+    level.u.assign(num_tiles_, 0.0);
+    level.v.assign(num_tiles_, 0.0);
+    level.col_of_row.assign(num_tiles_, kNone);
+    level.row_of_col.assign(num_tiles_ + 1, kNone);
+    for (graph::CoreId c = 0; c < num_cores_; ++c) {
+      if (placed_[c] == kUnplaced && traffic_[c] != 0) augment(level, c);
+    }
+    std::size_t next = 0;
+    for (std::uint32_t r = 0; r < num_tiles_; ++r) {
+      if (r < num_cores_ && (placed_[r] != kUnplaced || traffic_[r] != 0)) {
+        continue;
+      }
+      while (level.row_of_col[free_[next]] != kNone) ++next;
+      level.row_of_col[free_[next]] = r;
+      level.col_of_row[r] = free_[next];
+    }
+    level.value = matched_cost(level);
+  }
+
+  /// Warm start from the parent's optimum: drop the placed core's row and
+  /// the taken tile's column, free every repriced row whose matched entry
+  /// moved, and re-augment only the free rows. Entries only grew, so the
+  /// potentials stay dual-feasible and every kept match stays tight.
+  void warm_solve(Level& level, const Level& parent) const {
+    const Placement last = order_[num_placed_ - 1];
+    level.u = parent.u;
+    level.v = parent.v;
+    level.col_of_row = parent.col_of_row;
+    level.row_of_col = parent.row_of_col;
+    const std::uint32_t col = level.col_of_row[last.core];
+    if (col != last.tile) {
+      level.row_of_col[col] = kNone;
+      level.col_of_row[level.row_of_col[last.tile]] = kNone;
+    }
+    for (graph::CoreId c = 0; c < num_cores_; ++c) {
+      if (placed_[c] != kUnplaced || level.rows[c] == parent.rows[c]) continue;
+      const std::uint32_t j = level.col_of_row[c];
+      if (j != kNone && level.rows[c][j] != parent.rows[c][j]) {
+        level.row_of_col[j] = kNone;
+        level.col_of_row[c] = kNone;
+      }
+    }
+    for (std::uint32_t r = 0; r < num_tiles_; ++r) {
+      if (r < num_cores_ && placed_[r] != kUnplaced) continue;
+      if (level.col_of_row[r] == kNone) augment(level, r);
+    }
+    level.value = matched_cost(level);
+  }
+
+  /// Match free row `root`: one shortest-augmenting-path phase of the
+  /// Hungarian algorithm (Dijkstra over the reduced costs a - u - v of the
+  /// free tiles), which keeps the potentials dual-feasible and every
+  /// matched entry tight. The virtual column num_tiles_ holds the root.
+  void augment(Level& level, std::uint32_t root) const {
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    const std::uint32_t virt = num_tiles_;
+    for (const noc::TileId t : free_) {
+      minv_[t] = kInf;
+      used_[t] = 0;
+    }
+    level.row_of_col[virt] = root;
+    std::uint32_t j0 = virt;
+    do {
+      used_[j0] = 1;
+      const std::uint32_t i0 = level.row_of_col[j0];
+      const double* a = level.rows[i0];
+      const double ui = level.u[i0];
+      double delta = kInf;
+      std::uint32_t j1 = virt;
+      for (const noc::TileId t : free_) {
+        if (used_[t]) continue;
+        const double cur = a[t] - ui - level.v[t];
+        if (cur < minv_[t]) {
+          minv_[t] = cur;
+          way_[t] = j0;
+        }
+        if (minv_[t] < delta) {
+          delta = minv_[t];
+          j1 = t;
+        }
+      }
+      level.u[root] += delta;
+      for (const noc::TileId t : free_) {
+        if (used_[t]) {
+          level.u[level.row_of_col[t]] += delta;
+          level.v[t] -= delta;
+        } else {
+          minv_[t] -= delta;
+        }
+      }
+      j0 = j1;
+    } while (level.row_of_col[j0] != kNone);
+    // Flip the alternating path back to the root.
+    do {
+      const std::uint32_t j1 = way_[j0];
+      const std::uint32_t r = level.row_of_col[j1];
+      level.row_of_col[j0] = r;
+      level.col_of_row[r] = j0;
+      j0 = j1;
+    } while (j0 != virt);
+  }
+
+  /// The matching's cost, summed directly over the chosen entries in tile
+  /// order (an actual matching cost even under floating-point rounding;
+  /// the zero rows add exact zeros).
+  double matched_cost(const Level& level) const {
+    double cost = 0.0;
+    for (const noc::TileId t : free_) {
+      cost += level.rows[level.row_of_col[t]][t];
+    }
+    return cost;
   }
 
   std::vector<graph::CwgEdge> edges_;
@@ -491,14 +707,18 @@ class HopLowerBound final : public CostFunction::LowerBound {
   std::vector<char> occupied_;       ///< Per tile.
   std::size_t num_placed_ = 0;
   double prefix_j_ = 0.0;
+  std::vector<Placement> order_;     ///< Placements, oldest first.
+  std::vector<double> zero_row_;     ///< The row of every zero-cost row.
+  /// Per-depth assignment states (bound() is const but saves them).
+  mutable std::vector<Level> levels_;
+  // Scratch (bound() is const but reuses buffers).
   mutable std::vector<Incident> scratch_;
   mutable std::vector<noc::TileId> free_;
-  mutable std::vector<double> free_ebit_;  ///< Indexed by tile.
-  // Assignment-relaxation scratch (bound() is const but reuses buffers).
-  mutable std::vector<double> matrix_;
-  mutable std::vector<double> hung_u_, hung_v_, hung_minv_;
-  mutable std::vector<int> hung_match_, hung_way_;
-  mutable std::vector<char> hung_used_;
+  mutable std::vector<noc::TileId> moved_;
+  mutable std::vector<graph::CoreId> dirty_;
+  mutable std::vector<double> minv_;
+  mutable std::vector<std::uint32_t> way_;
+  mutable std::vector<char> used_;
 };
 
 /// Mapping-independent floor on the CDCM execution time: the critical path

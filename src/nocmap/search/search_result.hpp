@@ -3,11 +3,28 @@
 /// Common result type for all mapping search engines.
 
 #include <cstdint>
+#include <limits>
 #include <optional>
 
 #include "nocmap/mapping/mapping.hpp"
 
 namespace nocmap::search {
+
+/// The value SearchResult::nodes_pruned saturates at. A saturated count
+/// only says the eliminated volume is at least this large, so neither the
+/// count nor a fraction derived from it may be reported as a number.
+inline constexpr std::uint64_t kNodesPrunedSaturated =
+    std::numeric_limits<std::uint64_t>::max();
+
+/// The fraction of the enumeration tree the bound cut away,
+/// pruned / (visited + pruned); empty when `pruned` saturated.
+inline std::optional<double> pruned_fraction(std::uint64_t visited,
+                                             std::uint64_t pruned) {
+  if (pruned == kNodesPrunedSaturated) return std::nullopt;
+  const double denom =
+      static_cast<double>(visited) + static_cast<double>(pruned);
+  return denom > 0 ? static_cast<double>(pruned) / denom : 0.0;
+}
 
 struct SearchResult {
   mapping::Mapping best;          ///< Best mapping found.
@@ -27,9 +44,9 @@ struct SearchResult {
   // passed; at full depth the mapping was priced). nodes_pruned counts the
   // nodes *eliminated* by failing bound tests: the failing node plus every
   // descendant placement that was consequently never generated (saturating
-  // at UINT64_MAX), i.e. the work a bound-less enumeration of the same
-  // space would have expanded. nodes_pruned / (nodes_visited + nodes_pruned)
-  // is therefore the fraction of the tree the bound cut away.
+  // at kNodesPrunedSaturated), i.e. the work a bound-less enumeration of
+  // the same space would have expanded; pruned_fraction() turns the two
+  // into the fraction of the tree the bound cut away.
   std::uint64_t nodes_visited = 0;
   std::uint64_t nodes_pruned = 0;
   /// Lower-bound tests performed: nodes_visited plus the number of *failing*

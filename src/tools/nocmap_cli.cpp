@@ -1000,16 +1000,15 @@ int cmd_explore(const RunOptions& opts) {
                          fmt.head("Pruned", "pct"), "Complete"});
     bnb.set_title("branch & bound — nodes");
     for (const core::ModelOutcome* outcome : {&cmp.cwm, &cmp.cdcm}) {
-      const double denom = static_cast<double>(outcome->bnb_nodes_visited) +
-                           static_cast<double>(outcome->bnb_nodes_pruned);
+      // A saturated eliminated-volume count is not a number: say so and
+      // leave its fraction blank.
+      const std::optional<double> frac = search::pruned_fraction(
+          outcome->bnb_nodes_visited, outcome->bnb_nodes_pruned);
       bnb.add_row({outcome->model, fmt.count(outcome->bnb_node_budget),
                    fmt.count(outcome->bnb_nodes_tested),
                    fmt.count(outcome->bnb_nodes_visited),
-                   fmt.count(outcome->bnb_nodes_pruned),
-                   fmt.percent(denom > 0
-                                   ? static_cast<double>(
-                                         outcome->bnb_nodes_pruned) / denom
-                                   : 0.0),
+                   frac ? fmt.count(outcome->bnb_nodes_pruned) : "saturated",
+                   frac ? fmt.percent(*frac) : "",
                    outcome->bnb_complete ? "yes" : "no"});
     }
     print_table(bnb, opts.csv);
@@ -1089,7 +1088,8 @@ int cmd_bench_perf(const RunOptions& opts) {
                    fmt.count(static_cast<std::uint64_t>(r.cdcm_ckpt_per_s)),
                    fmt.count(static_cast<std::uint64_t>(r.cdcm_batch_t_per_s)),
                    fmt.count(static_cast<std::uint64_t>(r.hybrid_per_s)),
-                   fmt.percent(r.bnb_pruned_frac()),
+                   r.bnb_pruned_saturated() ? ""
+                                            : fmt.percent(*r.bnb_pruned_frac()),
                    r.bnb_complete ? "yes" : "no"});
   }
   print_table(table, opts.csv);

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <memory>
 #include <numeric>
 #include <stdexcept>
@@ -19,6 +21,8 @@ namespace {
 /// CWG edges while the simulator sums per packet, which can differ by a few
 /// ulp. Admissibility claims below are exact up to this rounding.
 constexpr double kRelTol = 1e-12;
+
+constexpr double kUnbounded = std::numeric_limits<double>::infinity();
 
 graph::Cdcg random_workload(std::uint32_t cores, util::Rng& rng) {
   workload::RandomCdcgParams params;
@@ -155,6 +159,115 @@ TEST(LowerBoundPropertyTest, AdmissibleOnRandomPartialsAcrossTopologies) {
   }
 }
 
+/// The bound of a fresh evaluator that places `cores` on `tiles` in order
+/// and answers one bound() call: a cold build and a cold assignment solve.
+double cold_bound(const CostFunction& cost,
+                  const std::vector<graph::CoreId>& cores,
+                  const std::vector<noc::TileId>& tiles, double prune_above) {
+  const std::unique_ptr<CostFunction::LowerBound> lb = cost.make_lower_bound();
+  for (std::size_t i = 0; i < cores.size(); ++i) lb->place(cores[i], tiles[i]);
+  return lb->bound(prune_above);
+}
+
+/// Warm starts: randomized walks that place, bound (with a finite and an
+/// infinite prune_above, in varying combinations), unplace — the last core
+/// or any other — re-place and reset. After every step each bound() must
+/// match a fresh evaluator's single call on the same placement sequence to
+/// 1e-12 relative, and answer `> prune_above` identically. The boards have
+/// more tiles than cores and two traffic-free cores, so the square
+/// assignment carries dummy rows and zero rows.
+TEST(LowerBoundPropertyTest, WarmStartsMatchColdSolvesOnRandomWalks) {
+  const energy::Technology tech = energy::technology_0_07u();
+  util::Rng rng(0x3A57);
+  constexpr int kStepsPerTopology = 700;
+
+  for (const std::string& kind : {std::string("mesh"), std::string("torus"),
+                                  std::string("xmesh")}) {
+    SCOPED_TRACE(kind);
+    const std::unique_ptr<noc::Topology> topo = noc::make_topology(kind, 4, 3);
+    const std::uint32_t num_tiles = topo->num_tiles();
+    graph::Cdcg cdcg = random_workload(8, rng);
+    cdcg.add_core("idle-a");
+    cdcg.add_core("idle-b");
+    const std::size_t num_cores = cdcg.num_cores();
+    const graph::Cwg cwg = cdcg.to_cwg();
+    const CwmCost cwm(cwg, *topo, tech);
+    const CdcmCost cdcm(cdcg, *topo, tech);
+
+    for (const CostFunction* cost :
+         {static_cast<const CostFunction*>(&cwm),
+          static_cast<const CostFunction*>(&cdcm)}) {
+      SCOPED_TRACE(cost->name());
+      const std::unique_ptr<CostFunction::LowerBound> lb =
+          cost->make_lower_bound();
+      std::vector<graph::CoreId> cores;  // Placement sequence, oldest first.
+      std::vector<noc::TileId> tiles;
+      std::vector<char> core_placed(num_cores, 0);
+      std::vector<char> tile_used(num_tiles, 0);
+
+      const auto place_random = [&](graph::CoreId core) {
+        std::vector<noc::TileId> free;
+        for (noc::TileId t = 0; t < num_tiles; ++t) {
+          if (!tile_used[t]) free.push_back(t);
+        }
+        const noc::TileId tile = free[rng.index(free.size())];
+        lb->place(core, tile);
+        cores.push_back(core);
+        tiles.push_back(tile);
+        core_placed[core] = 1;
+        tile_used[tile] = 1;
+      };
+      const auto unplace_at = [&](std::size_t i) {
+        lb->unplace(cores[i], tiles[i]);
+        core_placed[cores[i]] = 0;
+        tile_used[tiles[i]] = 0;
+        cores.erase(cores.begin() + static_cast<std::ptrdiff_t>(i));
+        tiles.erase(tiles.begin() + static_cast<std::ptrdiff_t>(i));
+      };
+
+      for (int step = 0; step < kStepsPerTopology; ++step) {
+        SCOPED_TRACE(step);
+        const double op = rng.uniform01();
+        if (op < 0.02) {
+          lb->reset();
+          cores.clear();
+          tiles.clear();
+          std::fill(core_placed.begin(), core_placed.end(), 0);
+          std::fill(tile_used.begin(), tile_used.end(), 0);
+        } else if (op < 0.55 && cores.size() < num_cores) {
+          std::vector<graph::CoreId> unplaced;
+          for (graph::CoreId c = 0; c < num_cores; ++c) {
+            if (!core_placed[c]) unplaced.push_back(c);
+          }
+          place_random(unplaced[rng.index(unplaced.size())]);
+        } else if (op < 0.75 && !cores.empty()) {
+          unplace_at(cores.size() - 1);
+        } else if (op < 0.85 && !cores.empty()) {
+          unplace_at(rng.index(cores.size()));  // Not necessarily the last.
+        } else if (!cores.empty()) {
+          const graph::CoreId core = cores.back();  // Re-place elsewhere.
+          unplace_at(cores.size() - 1);
+          place_random(core);
+        }
+
+        const double tight = cold_bound(*cost, cores, tiles, kUnbounded);
+        const double prune_above = tight * rng.uniform(0.5, 1.5);
+        const int calls = static_cast<int>(rng.index(3));  // 0, 1 or both.
+        if (calls != 1) {
+          const double warm = lb->bound(prune_above);
+          const double cold = cold_bound(*cost, cores, tiles, prune_above);
+          EXPECT_NEAR(warm, cold, std::abs(cold) * kRelTol);
+          EXPECT_EQ(warm > prune_above, cold > prune_above);
+        }
+        if (calls != 0) {
+          const double warm = lb->bound();
+          EXPECT_NEAR(warm, tight, std::abs(tight) * kRelTol);
+        }
+      }
+    }
+  }
+}
+
 TEST(LowerBoundTest, PlaceUnplaceMirrorsBoundExactly) {
   const energy::Technology tech = energy::technology_0_07u();
   util::Rng rng(7);
@@ -164,11 +277,27 @@ TEST(LowerBoundTest, PlaceUnplaceMirrorsBoundExactly) {
   const CwmCost cwm(cwg, *topo, tech);
   const std::unique_ptr<CostFunction::LowerBound> lb = cwm.make_lower_bound();
   lb->place(0, 4);
+  const double one_placed = lb->bound();  // Cold: no parent depth solved.
   lb->place(1, 1);
-  const double two_placed = lb->bound();
+  const double two_placed = lb->bound();  // Warm from the one-core solve.
   lb->place(2, 7);
+  const double three_placed = lb->bound();  // Warm again.
   lb->unplace(2, 7);
   EXPECT_EQ(lb->bound(), two_placed);
+  // The warm level matches a cold solve of the same placement to rounding.
+  EXPECT_NEAR(two_placed, cold_bound(cwm, {0, 1}, {4, 1}, kUnbounded),
+              two_placed * kRelTol);
+  // A sibling replaces the saved child level; returning to the first child
+  // re-derives it from the unchanged parent, bit for bit.
+  lb->place(2, 3);
+  const double sibling = cold_bound(cwm, {0, 1, 2}, {4, 1, 3}, kUnbounded);
+  EXPECT_NEAR(lb->bound(), sibling, sibling * kRelTol);
+  lb->unplace(2, 3);
+  lb->place(2, 7);
+  EXPECT_EQ(lb->bound(), three_placed);
+  lb->unplace(2, 7);
+  lb->unplace(1, 1);
+  EXPECT_EQ(lb->bound(), one_placed);
 }
 
 TEST(LowerBoundTest, CoreTrafficSumsIncidentBits) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <stdexcept>
@@ -9,9 +11,11 @@
 #include <vector>
 
 #include "nocmap/search/exhaustive.hpp"
+#include "nocmap/search/greedy.hpp"
 #include "nocmap/util/rng.hpp"
 #include "nocmap/workload/paper_example.hpp"
 #include "nocmap/workload/random_cdcg.hpp"
+#include "nocmap/workload/suite.hpp"
 
 namespace nocmap::search {
 namespace {
@@ -223,6 +227,56 @@ TEST(BranchAndBoundTest, CountsAreConsistent) {
   // itself, so tested <= visited + pruned.
   EXPECT_GE(r.nodes_tested, r.nodes_visited);
   EXPECT_LE(r.nodes_tested - r.nodes_visited, r.nodes_pruned);
+}
+
+// --- Pinned decisions -------------------------------------------------------
+//
+// Every prune decision is pinned through the node counters of two
+// single-threaded CWM runs from the greedy incumbent without SA seeding:
+// one exhaustive 3x4 tree and one budget-truncated 8x8 descent. The values
+// are those of a cold assignment solve at every node; the warm-started bound
+// must reproduce them exactly.
+
+struct PinnedRun {
+  std::string app;
+  std::uint64_t max_nodes;  ///< 0: no budget (the whole tree).
+  std::uint64_t tested;
+  std::uint64_t visited;
+  std::uint64_t pruned;
+  double best_cost;
+};
+
+TEST(BranchAndBoundTest, DecisionsArePinnedOnSuiteApps) {
+  const energy::Technology tech = energy::technology_0_07u();
+  const std::vector<PinnedRun> pinned = {
+      {"fft-v2", 0, 24827, 5120, 114680968, 1.2844799999999997e-09},
+      {"random-big-1", 2000, 2000, 40, kNodesPrunedSaturated,
+       5.5183330999999987e-06},
+  };
+  const std::vector<workload::SuiteEntry> suite = workload::table1_suite();
+  for (const PinnedRun& pin : pinned) {
+    SCOPED_TRACE(pin.app);
+    const auto entry = std::find_if(
+        suite.begin(), suite.end(),
+        [&](const workload::SuiteEntry& e) { return e.name == pin.app; });
+    ASSERT_NE(entry, suite.end());
+    const std::unique_ptr<noc::Topology> topo =
+        noc::make_topology("mesh", entry->noc_width, entry->noc_height);
+    const graph::Cwg cwg = entry->cdcg.to_cwg();
+    const mapping::CwmCost cost(cwg, *topo, tech);
+    const mapping::Mapping greedy = greedy_mapping(cwg, *topo);
+    BnbOptions options;
+    options.incumbent = &greedy;
+    options.seed_with_sa = false;
+    options.threads = 1;
+    options.max_nodes = pin.max_nodes;
+    const SearchResult r = branch_and_bound(cost, *topo, options);
+    EXPECT_EQ(r.exhausted, pin.max_nodes == 0);
+    EXPECT_EQ(r.nodes_tested, pin.tested);
+    EXPECT_EQ(r.nodes_visited, pin.visited);
+    EXPECT_EQ(r.nodes_pruned, pin.pruned);
+    EXPECT_EQ(r.best_cost, pin.best_cost);
+  }
 }
 
 // --- Error handling ----------------------------------------------------------
