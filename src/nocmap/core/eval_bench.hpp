@@ -145,7 +145,7 @@ struct EvalBenchRow {
                                     : 0.0;
   }
   /// Fidelity tax: link-claim rate over flit-backend rate (>= 1 in
-  /// practice — the flit loop does strictly more bookkeeping per event).
+  /// practice — the flit backend does strictly more bookkeeping per event).
   double flit_tax() const {
     return cdcm_flit_per_s > 0 ? cdcm_reuse_per_s / cdcm_flit_per_s : 0.0;
   }

@@ -13,9 +13,10 @@
 ///    router by router along the deterministic route.
 ///  * At each router the header claims the *outgoing inter-router link*. If
 ///    that link is still occupied by another worm, the packet waits in the
-///    router's input buffer (unbounded by default, as in the paper's
-///    example) and the contention time is added from that point on. With
-///    FIFO arbitration, the worm whose header arrived first wins the link.
+///    router's input buffer (unbounded under the default link-claim
+///    backend, as in the paper's example) and the contention time is added
+///    from that point on. With FIFO arbitration, the worm whose header
+///    arrived first wins the link.
 ///  * Ejection (router->core) never blocks: the destination core always
 ///    accepts flits. (This matches the paper's worked example, where two
 ///    worms overlap on a router->core link without any contention being
@@ -74,12 +75,12 @@ struct Occupancy {
                            ///< the resource (the '*' marks in Figure 3a).
 };
 
-/// Which evaluation backend executes the schedule. Both run through the
-/// same deterministic event queue and agree bitwise whenever the flit
+/// Which evaluation backend executes the schedule: the flow-control policy
+/// of the simulator's one event loop. Both agree bitwise whenever the flit
 /// backend's flow-control constraints never bind (docs/simulation.md).
 enum class SimBackend : std::uint8_t {
   /// The paper's model: a worm claims whole links hop by hop; router input
-  /// buffers are unbounded (unless the legacy buffer_flits knob is set).
+  /// buffers are unbounded.
   kLinkClaim,
   /// Flit-accurate model: head/body/tail flits stream through *finite*
   /// per-port input buffers (buffer_depth flits each) under credit or
@@ -117,22 +118,19 @@ struct SimOptions {
   /// Record per-packet hop lists and per-resource occupancy lists. Disable
   /// inside search loops; the scalar results are identical.
   bool record_traces = true;
-  /// Router input buffer capacity in flits; 0 = unbounded (paper default).
-  /// Bounded buffers model backpressure to the first order: a blocked worm
-  /// that does not fit keeps its upstream link busy until it drains.
-  std::uint32_t buffer_flits = 0;
   /// Model contention on core->router injection links (a single network
   /// interface per core streams concurrent sends back-to-back). Off by
   /// default: the paper's model lets local links overlap freely, and its
   /// worked example never exercises injection contention. Same-source worms
   /// still serialize on their first shared inter-router link either way.
+  /// Runs that set it always use the heap queue and never checkpoint.
   bool contend_local_in = false;
-  /// Evaluation backend. kFlit rejects the legacy buffer_flits knob (its
-  /// buffers are modeled exactly via buffer_depth instead).
+  /// Evaluation backend (the event loop's flow-control policy).
   SimBackend backend = SimBackend::kLinkClaim;
   /// kFlit: input-buffer capacity of every router port, in flits (>= 1).
   /// Depths >= max packet flits + 2 never bind, making kFlit bitwise equal
-  /// to kLinkClaim under wormhole switching (docs/simulation.md).
+  /// to kLinkClaim under wormhole switching (docs/simulation.md). Finite
+  /// buffers exist only under kFlit; link-claim buffers are unbounded.
   std::uint32_t buffer_depth = 8;
   FlowControl flow_control = FlowControl::kCredit;   ///< kFlit only.
   Switching switching = Switching::kWormhole;        ///< kFlit only.

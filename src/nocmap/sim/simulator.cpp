@@ -4,6 +4,7 @@
 #include <cstring>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 
 namespace nocmap::sim {
 
@@ -20,16 +21,9 @@ Simulator::Simulator(const graph::Cdcg& cdcg, const noc::Topology& topo,
   tech_.validate();
   cdcg_.validate(/*require_connected=*/false);
 
-  if (options_.backend == SimBackend::kFlit) {
-    if (options_.buffer_depth == 0) {
-      throw std::invalid_argument(
-          "simulate: the flit backend needs buffer_depth >= 1");
-    }
-    if (options_.buffer_flits != 0) {
-      throw std::invalid_argument(
-          "simulate: buffer_flits is a link-claim option; the flit backend "
-          "models finite buffers exactly via buffer_depth");
-    }
+  if (options_.backend == SimBackend::kFlit && options_.buffer_depth == 0) {
+    throw std::invalid_argument(
+        "simulate: the flit backend needs buffer_depth >= 1");
   }
 
   const std::size_t num_packets = cdcg_.num_packets();
@@ -47,9 +41,6 @@ Simulator::Simulator(const graph::Cdcg& cdcg, const noc::Topology& topo,
         static_cast<std::uint32_t>(cdcg_.predecessors(p).size()));
     HotPacket& hp = hot_[p];
     hp.n_tl = flits * tl_;
-    hp.overflows_buffer =
-        options_.buffer_flits != 0 &&
-        flits > static_cast<double>(options_.buffer_flits);
     const std::vector<graph::PacketId>& succ = cdcg_.successors(p);
     hp.succ_begin = static_cast<std::uint32_t>(succ_list_.size());
     succ_list_.insert(succ_list_.end(), succ.begin(), succ.end());
@@ -98,33 +89,39 @@ Simulator::Simulator(const graph::Cdcg& cdcg, const noc::Topology& topo,
   link_free_.resize(topo_.num_resources(), 0.0);
   queue_.reserve(num_packets + 1);
 
+  // --- Dense route rows -----------------------------------------------------
+  // rebind_packet() copies each bound route into a fixed-stride row, so the
+  // event loop finds a link without first loading a pointer into the route
+  // table. Rows (and the flit backend's header-out history) fit the longest
+  // route over every tile pair, in inter-router links.
+  std::uint32_t max_links = 0;
+  for (noc::TileId s = 0; s < topo_.num_tiles(); ++s) {
+    for (noc::TileId d = 0; d < topo_.num_tiles(); ++d) {
+      max_links = std::max(max_links, routes_.hops(s, d) - 1);
+    }
+  }
+  while (arena_stride_ < max_links) arena_stride_ <<= 1;
+  links_arena_.resize(num_packets * arena_stride_);
+
   // --- Integer-time fast-path eligibility ----------------------------------
   // Exact checks, not preset assumptions: every timing constant must be an
   // exact non-negative integer number of nanoseconds (then all event times
   // are integer-valued doubles and double arithmetic is exact), ids must
-  // fit the packed bucket-entry format, routes must fit the dense arena
-  // rows, and the worst-case schedule horizon must be small enough that
-  // bucket count stays sane.
+  // fit the packed bucket-entry format, and the worst-case schedule horizon
+  // must be small enough that bucket count stays sane. contend_local_in
+  // makes injection order observable, which the calendar's fused ejection
+  // reorders.
   const auto integral = [](double v) {
     return v >= 0.0 && v < 9.0e15 &&
            static_cast<double>(static_cast<std::uint64_t>(v)) == v;
   };
   bool eligible = options_.backend == SimBackend::kLinkClaim &&
-                  num_packets > 0 &&
+                  !options_.contend_local_in && num_packets > 0 &&
                   num_packets < detail::BucketQueue::kMaxPackets &&
-                  integral(tr_) && integral(tl_);
+                  integral(tr_) && integral(tl_) && max_links > 0 &&
+                  max_links + 1 < detail::BucketQueue::kMaxHops;
   for (graph::PacketId p = 0; eligible && p < num_packets; ++p) {
     eligible = integral(comp_ns_[p]) && integral(hot_[p].n_tl);
-  }
-  std::uint32_t max_links = 0;
-  if (eligible) {
-    const std::uint32_t tiles = topo_.num_tiles();
-    for (noc::TileId s = 0; s < tiles; ++s) {
-      for (noc::TileId d = 0; d < tiles; ++d) {
-        max_links = std::max(max_links, routes_.hops(s, d) - 1);
-      }
-    }
-    eligible = max_links > 0 && max_links + 1 < detail::BucketQueue::kMaxHops;
   }
   if (eligible) {
     // Horizon bound: each of a packet's events advances the latest time by
@@ -135,16 +132,9 @@ Simulator::Simulator(const graph::Cdcg& cdcg, const noc::Topology& topo,
       horizon += comp_ns_[p] + static_cast<double>(max_links + 2) *
                                    (tr_ + tl_ + hot_[p].n_tl);
     }
-    eligible = horizon <= static_cast<double>(1u << 24);
+    bucket_mode_ = horizon <= static_cast<double>(1u << 24);
   }
-  std::size_t stride = 1;
-  while (stride < max_links) stride <<= 1;
-  if (eligible && stride <= 64) {
-    bucket_mode_ = true;
-    arena_stride_ = stride;
-    links_arena_.resize(num_packets * stride);
-    bucket_.init(num_packets);
-  }
+  if (bucket_mode_) bucket_.init(num_packets);
 
   // --- Checkpointed incremental evaluation ---------------------------------
   // Eligibility is exact, not assumed: the restore argument needs strictly
@@ -171,28 +161,18 @@ Simulator::Simulator(const graph::Cdcg& cdcg, const noc::Topology& topo,
 
   // --- Flit-backend arenas --------------------------------------------------
   if (options_.backend == SimBackend::kFlit) {
+    double max_flits = 0.0;
     for (graph::PacketId p = 0; p < num_packets; ++p) {
-      max_flits_ = std::max(max_flits_, flits_[p]);
+      max_flits = std::max(max_flits, flits_[p]);
     }
     if (options_.switching == Switching::kVirtualCutThrough &&
-        static_cast<double>(options_.buffer_depth) < max_flits_) {
+        static_cast<double>(options_.buffer_depth) < max_flits) {
       throw std::invalid_argument(
           "simulate: virtual cut-through stores whole packets, so "
           "buffer_depth must be >= the largest packet's flit count (" +
-          std::to_string(static_cast<std::uint64_t>(max_flits_)) + ")");
+          std::to_string(static_cast<std::uint64_t>(max_flits)) + ")");
     }
-    // Longest possible route (in inter-router links) over every tile pair:
-    // the header-out history rows must fit any mapping.
-    std::uint32_t flit_links = 1;
-    const std::uint32_t tiles = topo_.num_tiles();
-    for (noc::TileId s = 0; s < tiles; ++s) {
-      for (noc::TileId d = 0; d < tiles; ++d) {
-        if (s == d) continue;
-        flit_links = std::max(flit_links, routes_.hops(s, d) - 1);
-      }
-    }
-    flit_stride_ = flit_links;
-    hout_arena_.resize(num_packets * flit_stride_);
+    hout_arena_.resize(num_packets * arena_stride_);
     port_slot_free_.resize(topo_.num_resources(), 0.0);
     port_clear_.resize(topo_.num_resources(), 0.0);
   }
@@ -205,14 +185,11 @@ void Simulator::rebind_packet(graph::PacketId p) {
   const noc::RouteSpan<noc::TileId> routers = routes_.routers(src, dst);
   const noc::RouteSpan<noc::ResourceId> links = routes_.links(src, dst);
   route_routers_[p] = routers.data;
-  hot_[p].links = links.data;
+  std::memcpy(&links_arena_[p * arena_stride_], links.data,
+              links.size * sizeof(noc::ResourceId));
   hot_[p].len = routers.size;
   src_local_in_[p] = local_in_[src];
   dst_local_out_[p] = local_out_[dst];
-  if (bucket_mode_) {
-    std::memcpy(&links_arena_[p * arena_stride_], links.data,
-                links.size * sizeof(noc::ResourceId));
-  }
   // Dynamic energy depends only on volume and hop count (Equation 4).
   dyn_energy_[p] = energy::dynamic_packet_energy(tech_, pk.bits, routers.size);
 }
@@ -267,32 +244,216 @@ void Simulator::sync_bind(const mapping::Mapping& mapping) {
   }
 }
 
-void Simulator::record_router(graph::PacketId p, std::uint32_t hop,
-                              double arrival, double header_out,
-                              SimulationResult& out) {
-  // Router occupancy: header arrival until the tail flit is forwarded.
-  const double n_minus_1_tl = (flits_[p] - 1.0) * tl_;
-  const noc::TileId here = route_routers_[p][hop];
-  const noc::ResourceId router = topo_.router_resource(here);
-  HopRecord rec{router, arrival, header_out + n_minus_1_tl};
-  auto& hops = out.packets[p].hops;
-  hops.insert(hops.end() - 1, rec);
-  out.occupancy[router].push_back(Occupancy{
-      p, rec.start_ns, rec.end_ns, contended_down_[p] != 0});
+// --- Queue policies ----------------------------------------------------------
+// Both pop in the same total (time, packet, hop) order. next() yields the
+// earliest event; the loop then either advance()s the packet to its next
+// hop or retire()s the event at delivery.
+
+/// The 4-ary heap: serves every run the calendar cannot.
+struct Simulator::HeapQueue {
+  static constexpr bool kFusedEjection = false;
+  detail::EventQueue& heap;
+
+  void push(double time_ns, graph::PacketId p, std::uint32_t hop) {
+    heap.push(detail::QueuedEvent::make(time_ns, p, hop));
+  }
+  detail::QueuedEvent next() const {
+    // Only a dependence cycle could drain the queue early, and the CDCG was
+    // validated acyclic at construction.
+    if (heap.empty()) {
+      throw std::logic_error("simulate: not all packets were delivered");
+    }
+    return heap.min();
+  }
+  /// The header's next arrival replaces the popped event in one sift-down.
+  void advance(double time_ns, graph::PacketId p, std::uint32_t hop) {
+    heap.replace_min(detail::QueuedEvent::make(time_ns, p, hop));
+  }
+  void retire() { heap.pop_min(); }
+};
+
+/// The integer-time bucket calendar (see bucket_mode_). It fuses the final
+/// ejection into the last link claim: a delivery only updates successors,
+/// the fused delivery time associates exactly as the unfused one, and
+/// successors still queue in the future, so no scalar result can tell
+/// (with contend_local_in off, which the constructor ensures). Traces and
+/// checkpoint snapshots can, so those runs take the heap.
+struct Simulator::BucketCalendar {
+  static constexpr bool kFusedEjection = true;
+  detail::BucketQueue& calendar;
+
+  void push(double time_ns, graph::PacketId p, std::uint32_t hop) {
+    calendar.push(static_cast<std::size_t>(time_ns), p, hop);
+  }
+  detail::QueuedEvent next() {
+    std::size_t bucket = 0;
+    std::uint32_t p = 0;
+    std::uint32_t hop = 0;
+    calendar.pop_min(bucket, p, hop);  // Throws when drained early.
+    return detail::QueuedEvent::make(static_cast<double>(bucket), p, hop);
+  }
+  void advance(double time_ns, graph::PacketId p, std::uint32_t hop) {
+    push(time_ns, p, hop);
+  }
+  void retire() {}
+};
+
+// --- Flow-control policies ---------------------------------------------------
+// Output-link arbitration (FIFO by header arrival) is the loop's own; a
+// policy adds the constraints of its buffer model around it.
+
+/// The paper's model: buffers are unbounded, so only the link ahead binds.
+struct Simulator::LinkClaim {
+  void admit(noc::ResourceId, double, double&, SimulationResult&) const {}
+  void claimed(graph::PacketId, std::uint32_t, double, double,
+               SimulationResult&) const {}
+  void ejected(graph::PacketId, std::uint32_t, double,
+               SimulationResult&) const {}
+};
+
+/// The flit backend: finite input buffers under credit or on/off flow
+/// control, wormhole or virtual cut-through. Each constraint is written so
+/// that a non-binding one contributes an exact +0.0 and leaves every
+/// accumulator byte-identical to LinkClaim:
+///
+///  * admission (admit) — the head additionally waits for buffer space at
+///    the far end of the link it claims: one slot under wormhole (credits /
+///    on-off), the whole buffer under virtual cut-through;
+///  * port drain (drain) — a worm streams through a port at one flit per tl,
+///    entering at its previous hop's header-out and leaving at this hop's,
+///    so the port's free-slot / all-clear times follow in closed form and
+///    the event count stays one per router per packet;
+///  * backpressure (claimed) — a stalled worm's body parks across the input
+///    buffers along its path; whatever a buffer cannot absorb keeps the
+///    link feeding it busy past its nominal tail time.
+struct Simulator::FlitGate {
+  Simulator& s;
+  bool onoff;
+  bool vct;
+  double depth;
+  /// Body slots one input buffer offers a *stalled* worm. On/off raises the
+  /// stop signal one slot early to cover the flit in flight.
+  double stage_slots;
+
+  explicit FlitGate(Simulator& sim)
+      : s(sim),
+        onoff(sim.options_.flow_control == FlowControl::kOnOff),
+        vct(sim.options_.switching == Switching::kVirtualCutThrough),
+        depth(static_cast<double>(sim.options_.buffer_depth)),
+        stage_slots(onoff && depth > 1.0 ? depth - 1.0 : depth) {}
+
+  void admit(noc::ResourceId link, double arrival, double& wait,
+             SimulationResult& out) const {
+    // port_slot_free_/port_clear_ stay 0.0 for ports no worm could have
+    // filled, so the gate is +0.0 exactly then.
+    const double slot = s.port_slot_free_[link];
+    const double gate =
+        vct ? s.port_clear_[link] : (onoff && slot > 0.0 ? slot + s.tl_ : slot);
+    const double granted = arrival + wait;
+    const double admit_wait = granted < gate ? gate - granted : 0.0;
+    wait += admit_wait;
+    out.flit_stall_ns += admit_wait;
+  }
+
+  void claimed(graph::PacketId p, std::uint32_t hop, double header_out,
+               double wait, SimulationResult& out) const {
+    const std::size_t row = p * s.arena_stride_;
+    s.hout_arena_[row + hop] = header_out;
+    if (hop == 0) return;
+    drain(p, hop, header_out, out);
+    // The head stalled `wait`; its body backs up into the buffers behind
+    // it, each stage absorbing what fits, and any leftover keeps the link
+    // feeding that stage busy. Under VCT the downstream buffer holds the
+    // whole worm (depth >= flits, validated), so upstream links are never
+    // held.
+    if (wait <= 0.0 || vct) return;
+    const double n_tl = s.hot_[p].n_tl;
+    double remaining = wait;
+    double body = s.flits_[p] - 1.0;  // Flits behind the head.
+    double cap = stage_slots - 1.0;   // The head occupies one slot.
+    std::uint32_t k = hop;
+    while (k > 0 && body > 0.0) {
+      const double park = std::min(body, cap > 0.0 ? cap : 0.0);
+      remaining -= park * s.tl_;
+      body -= park;
+      if (remaining <= 0.0 || body <= 0.0) break;
+      const noc::ResourceId up = s.links_arena_[row + k - 1];
+      const double tail_done = s.hout_arena_[row + k - 1] + n_tl + remaining;
+      if (tail_done > s.link_free_[up]) {
+        out.flit_backpressure_ns += tail_done - s.link_free_[up];
+        s.link_free_[up] = tail_done;
+      }
+      --k;
+      cap = stage_slots;
+    }
+  }
+
+  /// Ejection never blocks (the destination NI always accepts flits), but
+  /// the final router's input port still drains at flit rate.
+  void ejected(graph::PacketId p, std::uint32_t hop, double header_out,
+               SimulationResult& out) const {
+    drain(p, hop, header_out, out);
+  }
+
+  /// Drain bookkeeping for the input port the head of `p` just left: the
+  /// far end of links[hop - 1].
+  void drain(graph::PacketId p, std::uint32_t hop, double header_out,
+             SimulationResult& out) const {
+    const std::size_t prev = p * s.arena_stride_ + hop - 1;
+    const noc::ResourceId inport = s.links_arena_[prev];
+    const double flits = s.flits_[p];
+    const double hout_prev = s.hout_arena_[prev];
+    const double occ =
+        std::min(flits, std::min((header_out - hout_prev) / s.tl_, depth));
+    if (occ > out.flit_max_occupancy) out.flit_max_occupancy = occ;
+    // The whole buffer is clear of this worm once its tail has been
+    // forwarded (VCT admission reads this).
+    s.port_clear_[inport] =
+        std::max(s.port_clear_[inport], header_out + s.hot_[p].n_tl);
+    // A following head finds a free slot once at most stage_slots - 1 of
+    // this worm's flits can still be queued here. Worms shorter than the
+    // buffer can never fill it: no update, the gate keeps its prior value.
+    const double excess = flits - (stage_slots - 1.0);
+    if (excess > 0.0) {
+      s.port_slot_free_[inport] =
+          std::max(s.port_slot_free_[inport], header_out + excess * s.tl_);
+    }
+  }
+};
+
+void Simulator::record_hop(graph::PacketId p, std::uint32_t hop,
+                           noc::ResourceId next, double arrival,
+                           double header_out, SimulationResult& out) {
+  // The router holds the worm from header arrival until its tail flit is
+  // forwarded; `next` (a link, or the local-out at the destination) from
+  // header entry until the tail has crossed it.
+  const noc::ResourceId router = topo_.router_resource(route_routers_[p][hop]);
+  const double router_end = header_out + (flits_[p] - 1.0) * tl_;
+  const double next_end = header_out + hot_[p].n_tl;
+  const bool contended = contended_down_[p] != 0;
+  std::vector<HopRecord>& hops = out.packets[p].hops;
+  hops.push_back(HopRecord{router, arrival, router_end});
+  hops.push_back(HopRecord{next, header_out, next_end});
+  out.occupancy[router].push_back(
+      Occupancy{p, arrival, router_end, contended});
+  out.occupancy[next].push_back(Occupancy{p, header_out, next_end, contended});
 }
 
-template <bool Full>
-void Simulator::inject(graph::PacketId p, SimulationResult& out) {
+template <bool Full, bool Ckpt, class Queue>
+void Simulator::inject(Queue queue, graph::PacketId p, SimulationResult& out) {
   double start = ready_[p] + comp_ns_[p];
+  const double n_tl = hot_[p].n_tl;
   const noc::ResourceId local_in = src_local_in_[p];
   bool contended = false;
-  if (options_.contend_local_in && start < link_free_[local_in]) {
-    contention_[p] += link_free_[local_in] - start;
-    start = link_free_[local_in];
-    contended = true;
+  // Nothing else reads the injection link's occupancy.
+  if (options_.contend_local_in) {
+    if (start < link_free_[local_in]) {
+      contention_[p] += link_free_[local_in] - start;
+      start = link_free_[local_in];
+      contended = true;
+    }
+    link_free_[local_in] = start + n_tl;
   }
-  const double n_tl = hot_[p].n_tl;
-  link_free_[local_in] = start + n_tl;
   if constexpr (Full) {
     PacketTrace& trace = out.packets[p];
     trace.packet = p;
@@ -304,27 +465,33 @@ void Simulator::inject(graph::PacketId p, SimulationResult& out) {
           Occupancy{p, start, start + n_tl, contended});
     }
   }
-  if (ckpt_recording_) {
+  if constexpr (Ckpt) {
     ev_time_[p] = start + tl_;
     ev_hop_[p] = 0;
     ev_state_[p] = 1;
   }
-  queue_.push(detail::QueuedEvent::make(start + tl_, p, 0));
+  queue.push(start + tl_, p, 0);
 }
 
-void Simulator::inject_bucket(graph::PacketId p) {
-  double start = ready_[p] + comp_ns_[p];
-  if (options_.contend_local_in) {
-    const noc::ResourceId local_in = src_local_in_[p];
-    if (start < link_free_[local_in]) {
-      contention_[p] += link_free_[local_in] - start;
-      start = link_free_[local_in];
-    }
-    link_free_[local_in] = start + hot_[p].n_tl;
+template <bool Full, bool Ckpt, class Queue>
+void Simulator::deliver(Queue queue, graph::PacketId p, double delivered_ns,
+                        Progress& st, SimulationResult& out) {
+  ++st.delivered;
+  st.texec = std::max(st.texec, delivered_ns);
+  if (contention_[p] > 0) ++out.num_contended_packets;
+  if constexpr (Full) {
+    PacketTrace& trace = out.packets[p];
+    trace.delivered_ns = delivered_ns;
+    trace.contention_ns = contention_[p];
   }
-  // With contend_local_in off nothing ever reads the local-link occupancy,
-  // so the scalar path skips writing it.
-  bucket_.push(static_cast<std::size_t>(start + tl_), p, 0);
+  if constexpr (Ckpt) ev_state_[p] = 2;
+  const HotPacket& hp = hot_[p];
+  const std::uint32_t succ_end = hp.succ_end;
+  for (std::uint32_t i = hp.succ_begin; i < succ_end; ++i) {
+    const graph::PacketId succ = succ_list_[i];
+    ready_[succ] = std::max(ready_[succ], delivered_ns);
+    if (--pending_[succ] == 0) inject<Full, Ckpt>(queue, succ, out);
+  }
 }
 
 const SimulationResult& Simulator::run(const mapping::Mapping& mapping) {
@@ -369,35 +536,24 @@ void Simulator::run_impl(const mapping::Mapping& mapping,
   }
   out.energy.dynamic_j = dynamic_j;
 
-  if (options_.backend == SimBackend::kFlit) {
-    ckpt_valid_ = false;
-    reset_arena<Full>();
-    std::fill(port_slot_free_.begin(), port_slot_free_.end(), 0.0);
-    std::fill(port_clear_.begin(), port_clear_.end(), 0.0);
-    for (graph::PacketId p = 0; p < num_packets; ++p) {
-      if (pending_[p] == 0) inject<Full>(p, out);
-    }
-    run_flit_loop<Full>(out);
-  } else if (!Full && ckpt_active_) {
+  if (!Full && ckpt_active_) {
     run_ckpt(out);
-  } else if (!Full && bucket_mode_) {
-    ckpt_valid_ = false;
-    reset_arena<Full>();
-    bucket_.begin_run();
-    for (graph::PacketId p = 0; p < num_packets; ++p) {
-      if (pending_[p] == 0) inject_bucket(p);
-    }
-    run_bucket_loop(out);
-    bucket_.finish_run();
   } else {
     // Traced runs leave the arena in a state the snapshots no longer
     // describe; the next checkpointed run re-records from scratch.
     ckpt_valid_ = false;
     reset_arena<Full>();
-    for (graph::PacketId p = 0; p < num_packets; ++p) {
-      if (pending_[p] == 0) inject<Full>(p, out);
+    if (options_.backend == SimBackend::kFlit) {
+      std::fill(port_slot_free_.begin(), port_slot_free_.end(), 0.0);
+      std::fill(port_clear_.begin(), port_clear_.end(), 0.0);
+      run_from_roots<Full>(HeapQueue{queue_}, FlitGate(*this), out);
+    } else if (!Full && bucket_mode_) {
+      bucket_.begin_run();
+      run_from_roots<false>(BucketCalendar{bucket_}, LinkClaim{}, out);
+      bucket_.finish_run();
+    } else {
+      run_from_roots<Full>(HeapQueue{queue_}, LinkClaim{}, out);
     }
-    run_heap_loop<Full>(out);
   }
 
   if constexpr (Full) {
@@ -435,16 +591,13 @@ void Simulator::reset_arena() {
   queue_.clear();
 }
 
-void Simulator::record_ckpt(std::uint64_t pops, std::size_t delivered,
-                            double texec, const SimulationResult& out) {
+void Simulator::record_ckpt(const Progress& at, const SimulationResult& out) {
   if (ckpt_count_ >= kMaxCkptSlots) return;
   if (ckpts_.size() == ckpt_count_) ckpts_.emplace_back();
   Ckpt& c = ckpts_[ckpt_count_++];
-  c.pops = pops;
+  c.at = at;
   c.has_next = !queue_.empty();
   c.next = c.has_next ? queue_.min() : detail::QueuedEvent{};
-  c.delivered = delivered;
-  c.texec = texec;
   c.total_contention = out.total_contention_ns;
   c.num_contended = out.num_contended_packets;
   c.pending.assign(pending_.begin(), pending_.end());
@@ -471,7 +624,6 @@ void Simulator::record_ckpt(std::uint64_t pops, std::size_t delivered,
 void Simulator::run_ckpt(SimulationResult& out) {
   const std::size_t num_packets = cdcg_.num_packets();
   ++ckpt_stats_.runs;
-  ckpt_recording_ = true;
 
   std::size_t slot = static_cast<std::size_t>(-1);
   if (ckpt_valid_ && !full_rebind_run_ && ckpt_count_ > 0) {
@@ -506,17 +658,14 @@ void Simulator::run_ckpt(SimulationResult& out) {
     }
   }
 
+  Progress st;
+  std::uint64_t resume_pops = 0;
   if (slot == static_cast<std::size_t>(-1)) {
     // Cold path: full run, recording snapshots as it goes.
     reset_arena<false>();
     std::fill(ev_state_.begin(), ev_state_.end(), std::uint8_t{0});
     ckpt_count_ = 0;
-    for (graph::PacketId p = 0; p < num_packets; ++p) {
-      if (pending_[p] == 0) inject<false>(p, out);
-    }
-    record_ckpt(0, 0, 0.0, out);
-    run_heap_loop<false, true>(out, 0, 0.0, 0);
-    ckpt_stats_.pops_replayed += ckpt_run_pops_;
+    st = run_from_roots<false, true>(HeapQueue{queue_}, LinkClaim{}, out);
     ckpt_replays_since_refresh_ = 0;
   } else {
     const Ckpt& c = ckpts_[slot];
@@ -536,19 +685,18 @@ void Simulator::run_ckpt(SimulationResult& out) {
     out.num_contended_packets = c.num_contended;
     // Snapshots past the restore point describe a future this run rewrites.
     ckpt_count_ = slot + 1;
-    if (c.pops > 0) ++ckpt_stats_.restored_runs;
-    // Copy out the resume point: record_ckpt during a heap replay can grow
-    // ckpts_ and invalidate `c`.
-    const std::uint64_t resume_pops = c.pops;
-    const std::size_t resume_delivered = c.delivered;
-    const double resume_texec = c.texec;
-    // Replay the suffix through the bucket fast path when it is available:
-    // its pops are ~2-3x cheaper than the heap's, and the whole point of a
-    // restore is that the suffix dominates neither loop. The heap loop is
-    // kept for (a) ineligible bindings, (b) full replays (pops == 0 — the
+    if (c.at.pops > 0) ++ckpt_stats_.restored_runs;
+    // Copy out the resume point: a recording replay can grow ckpts_ and
+    // invalidate `c`.
+    st = c.at;
+    resume_pops = st.pops;
+    // Replay the suffix on the bucket calendar when it is available: its
+    // pops are ~2-3x cheaper than the heap's, and the suffix is all a
+    // restored run pays for. The recording heap
+    // replays (a) ineligible bindings, (b) full replays (pops == 0 — the
     // ladder collapsed, so rebuild it while paying the full cost anyway),
-    // and (c) a periodic refresh, because bucket mid-run states cannot be
-    // snapshotted (kCkptRefreshPeriod above ckpt_replays_since_refresh_).
+    // and (c) every kCkptRefreshPeriod-th restore, because calendar mid-run
+    // states cannot be snapshotted.
     const bool heap_replay = !bucket_mode_ || resume_pops == 0 ||
                              ++ckpt_replays_since_refresh_ >=
                                  kCkptRefreshPeriod;
@@ -557,415 +705,139 @@ void Simulator::run_ckpt(SimulationResult& out) {
       // Rebuild the queue from the per-packet shadow; the push order is
       // irrelevant because keys are unique and pops are totally ordered.
       queue_.clear();
+      HeapQueue heap{queue_};
       for (graph::PacketId p = 0; p < num_packets; ++p) {
-        if (ev_state_[p] == 1) {
-          queue_.push(detail::QueuedEvent::make(ev_time_[p], p, ev_hop_[p]));
-        }
+        if (ev_state_[p] == 1) heap.push(ev_time_[p], p, ev_hop_[p]);
       }
-      run_heap_loop<false, true>(out, resume_delivered, resume_texec,
-                                 resume_pops);
-      ckpt_stats_.pops_replayed += ckpt_run_pops_ - resume_pops;
+      st = run_loop<false, true>(heap, LinkClaim{}, st, out);
     } else {
-      std::size_t delivered_count = resume_delivered;
-      double texec = resume_texec;
       bucket_.begin_run();
+      BucketCalendar calendar{bucket_};
       for (graph::PacketId p = 0; p < num_packets; ++p) {
         if (ev_state_[p] != 1) continue;
-        const HotPacket& hp = hot_[p];
-        if (ev_hop_[p] + 1 == hp.len) {
+        if (ev_hop_[p] + 1 == hot_[p].len) {
           // A pending ejection: apply it at seed time. Ejections touch no
           // links and every effect commutes (max-merges and counters) —
-          // exactly the reordering the fused bucket loop performs anyway.
-          const double delivered = ev_time_[p] + tr_ + hp.n_tl;
-          ++delivered_count;
-          texec = std::max(texec, delivered);
-          if (contention_[p] > 0) ++out.num_contended_packets;
-          for (std::uint32_t i = hp.succ_begin; i < hp.succ_end; ++i) {
-            const graph::PacketId succ = succ_list_[i];
-            ready_[succ] = std::max(ready_[succ], delivered);
-            if (--pending_[succ] == 0) inject_bucket(succ);
-          }
+          // exactly the reordering the fused ejection performs anyway.
+          deliver<false, false>(calendar, p,
+                                ev_time_[p] + tr_ + hot_[p].n_tl, st, out);
         } else {
-          bucket_.push(static_cast<std::size_t>(ev_time_[p]), p, ev_hop_[p]);
+          calendar.push(ev_time_[p], p, ev_hop_[p]);
         }
       }
-      run_bucket_loop(out, delivered_count, texec);
+      st = run_loop<false, false>(calendar, LinkClaim{}, st, out);
       bucket_.finish_run();
-      // Heap-equivalent accounting (the bucket loop fuses ejections, so
-      // its own pop count undercounts): every packet pops once per router.
-      std::uint64_t total_pops = 0;
+      // Heap-equivalent accounting (fused ejections are never popped):
+      // every packet pops once per router. The shadow is stale now, so the
+      // end-of-run snapshot below records a finished run.
+      st.pops = 0;
       for (graph::PacketId p = 0; p < num_packets; ++p) {
-        total_pops += hot_[p].len;
+        st.pops += hot_[p].len;
       }
-      ckpt_run_pops_ = total_pops;
-      ckpt_stats_.pops_replayed += total_pops - resume_pops;
-      // End-of-run snapshot: it serves identity rebinds. The mid-run
-      // ladder stays as truncated — only heap replays regrow it.
       queue_.clear();
       std::fill(ev_state_.begin(), ev_state_.end(), std::uint8_t{2});
-      if (ckpts_[ckpt_count_ - 1].pops != total_pops) {
-        record_ckpt(total_pops, num_packets, out.texec_ns, out);
-      }
     }
   }
-  ckpt_stats_.pops_total += ckpt_run_pops_;
-  ckpt_recording_ = false;
+  ckpt_stats_.pops_replayed += st.pops - resume_pops;
+  ckpt_stats_.pops_total += st.pops;
+  // End-of-run snapshot: it serves identity rebinds (re-evaluating the same
+  // mapping restores it and replays nothing). After a calendar replay the
+  // mid-run ladder stays as truncated — only heap replays regrow it.
+  if (ckpts_[ckpt_count_ - 1].at.pops != st.pops) record_ckpt(st, out);
   ckpt_valid_ = true;
 }
 
-/// The general loop. Keys are unique ((time, packet, hop) — a packet has
-/// one in-flight event), so the pop order is a total order regardless of
-/// push order or heap internals. Contention accounting is branchless: the
-/// uncontended case adds an exact +0.0, which leaves every accumulator
-/// byte-identical.
-template <bool Full, bool Ckpt>
-void Simulator::run_heap_loop(SimulationResult& out, std::size_t delivered0,
-                              double texec0, std::uint64_t pops0) {
-  const std::size_t num_packets = cdcg_.num_packets();
-  const double tr = tr_;
-  const double tl = tl_;
-  std::size_t delivered_count = delivered0;
-  double texec = texec0;
-  std::uint64_t pops = pops0;
-  std::uint64_t next_rec = 0;
-  if constexpr (Ckpt) {
-    next_rec = (pops0 / ckpt_interval_res_ + 1) * ckpt_interval_res_;
+template <bool Full, bool Ckpt, class Queue, class Flow>
+Simulator::Progress Simulator::run_from_roots(Queue queue, const Flow& flow,
+                                              SimulationResult& out) {
+  for (graph::PacketId p = 0; p < cdcg_.num_packets(); ++p) {
+    if (pending_[p] == 0) inject<Full, Ckpt>(queue, p, out);
   }
-  while (!queue_.empty()) {
-    if constexpr (Ckpt) {
-      if (pops == next_rec) {
-        record_ckpt(pops, delivered_count, texec, out);
-        next_rec += ckpt_interval_res_;
-      }
-    }
-    const detail::QueuedEvent ev = queue_.min();
-    const graph::PacketId p = ev.packet();
-    const std::uint32_t hop = ev.hop();
-    const double arrival = ev.time_ns();
-    const HotPacket& hp = hot_[p];
-    const double n_tl = hp.n_tl;
-
-    if (hop + 1 != hp.len) {
-      const noc::ResourceId link = hp.links[hop];
-      const double free_at = link_free_[link];
-      const double wait = arrival < free_at ? free_at - arrival : 0.0;
-      contention_[p] += wait;
-      out.total_contention_ns += wait;
-      if (wait > 0.0) {
-        if constexpr (Full) contended_down_[p] = 1;
-        if (hp.overflows_buffer && hop > 0) {
-          // Bounded buffers: the part of the worm that does not fit keeps
-          // the upstream link busy until the worm starts draining
-          // (first-order backpressure model).
-          const noc::ResourceId upstream = hp.links[hop - 1];
-          link_free_[upstream] =
-              std::max(link_free_[upstream], free_at + tr);
-        }
-      }
-      const double header_out = arrival + wait + tr;
-      link_free_[link] = header_out + n_tl;
-      if constexpr (Full) {
-        if (options_.record_traces) {
-          out.packets[p].hops.push_back(
-              HopRecord{link, header_out, header_out + n_tl});
-          out.occupancy[link].push_back(Occupancy{
-              p, header_out, header_out + n_tl,
-              contended_down_[p] != 0});
-          record_router(p, hop, arrival, header_out, out);
-        }
-      }
-      if constexpr (Ckpt) {
-        ev_time_[p] = header_out + tl;
-        ev_hop_[p] = hop + 1;
-      }
-      // The header's next arrival replaces this event in one sift-down.
-      queue_.replace_min(detail::QueuedEvent::make(header_out + tl, p,
-                                                   hop + 1));
-    } else {
-      queue_.pop_min();
-      // Ejection to the destination core: never blocks.
-      const double header_out = arrival + tr;
-      const double delivered = header_out + n_tl;
-      if constexpr (Full) {
-        if (options_.record_traces) {
-          const noc::ResourceId local_out = dst_local_out_[p];
-          out.packets[p].hops.push_back(
-              HopRecord{local_out, header_out, header_out + n_tl});
-          out.occupancy[local_out].push_back(Occupancy{
-              p, header_out, header_out + n_tl, contended_down_[p] != 0});
-          record_router(p, hop, arrival, header_out, out);
-        }
-      }
-      if constexpr (Ckpt) ev_state_[p] = 2;
-      ++delivered_count;
-      texec = std::max(texec, delivered);
-      if (contention_[p] > 0) ++out.num_contended_packets;
-      if constexpr (Full) {
-        PacketTrace& trace = out.packets[p];
-        trace.delivered_ns = delivered;
-        trace.contention_ns = contention_[p];
-      }
-      const std::uint32_t succ_end = hp.succ_end;
-      for (std::uint32_t i = hp.succ_begin; i < succ_end; ++i) {
-        const graph::PacketId succ = succ_list_[i];
-        ready_[succ] = std::max(ready_[succ], delivered);
-        if (--pending_[succ] == 0) inject<Full>(succ, out);
-      }
-    }
-    ++pops;
-  }
-  out.texec_ns = texec;
-
-  if constexpr (Ckpt) {
-    ckpt_run_pops_ = pops;
-    // End-of-run snapshot: it serves identity rebinds (re-evaluating the
-    // same mapping restores it and replays nothing).
-    if (ckpt_count_ == 0 || ckpts_[ckpt_count_ - 1].pops != pops) {
-      record_ckpt(pops, delivered_count, texec, out);
-    }
-  }
-
-  if (delivered_count != num_packets) {
-    throw std::logic_error("simulate: not all packets were delivered");
-  }
+  if constexpr (Ckpt) record_ckpt(Progress{}, out);
+  return run_loop<Full, Ckpt>(queue, flow, Progress{}, out);
 }
 
-/// The integer-time fast path. Same pop order and — because every quantity
-/// is an exact integer-valued double — bit-for-bit the same arithmetic as
-/// the general loop, minus work that cannot be observed in a scalar result:
-/// the final ejection is fused into the last link claim (a delivery only
-/// produces successor updates, and max(arrival, free_at) + tr equals
-/// arrival + wait + tr exactly in integer arithmetic), and injection skips
-/// the local-link bookkeeping nothing reads unless contend_local_in is on.
-void Simulator::run_bucket_loop(SimulationResult& out,
-                                std::size_t delivered0, double texec0) {
+/// The event loop. Keys are unique ((time, packet, hop) — a packet has one
+/// in-flight event), so the pop order is a total order regardless of push
+/// order or queue internals. Contention accounting is branchless: the
+/// uncontended case adds an exact +0.0, which leaves every accumulator
+/// byte-identical. With Ckpt the loop maintains the per-packet queued-event
+/// shadow and snapshots the arena at every ckpt_interval_res_-th pop.
+template <bool Full, bool Ckpt, class Queue, class Flow>
+Simulator::Progress Simulator::run_loop(Queue queue, const Flow& flow,
+                                        Progress st, SimulationResult& out) {
+  static_assert(!Queue::kFusedEjection ||
+                    (!Full && !Ckpt && std::is_same_v<Flow, LinkClaim>),
+                "the fused ejection materializes no ejection event");
   const std::size_t num_packets = cdcg_.num_packets();
   const std::size_t stride = arena_stride_;
   const double tr = tr_;
   const double tl = tl_;
-  std::size_t delivered_count = delivered0;
-  double texec = texec0;
-  while (delivered_count != num_packets) {
-    std::size_t bucket;
-    std::uint32_t p;
-    std::uint32_t hop;
-    bucket_.pop_min(bucket, p, hop);
-    const double arrival = static_cast<double>(bucket);
-    const HotPacket& hp = hot_[p];
-
-    // Every queued event claims a link: routes have K >= 2 routers (cores
-    // on distinct tiles), and the hop that would claim the last router is
-    // fused into its predecessor below.
-    const noc::ResourceId link = links_arena_[p * stride + hop];
-    const double free_at = link_free_[link];
-    const double wait = arrival < free_at ? free_at - arrival : 0.0;
-    contention_[p] += wait;
-    out.total_contention_ns += wait;
-    if (wait > 0.0 && hp.overflows_buffer && hop > 0) {
-      // Bounded buffers: the part of the worm that does not fit keeps the
-      // upstream link busy until the worm starts draining (first-order
-      // backpressure model).
-      const noc::ResourceId upstream = links_arena_[p * stride + hop - 1];
-      link_free_[upstream] = std::max(link_free_[upstream], free_at + tr);
-    }
-    const double header_out = std::max(arrival, free_at) + tr;
-    const double n_tl = hp.n_tl;
-    link_free_[link] = header_out + n_tl;
-
-    if (hop + 2 == hp.len) {
-      // This was the final link: eject without a further event. The
-      // association matches the general loop: ((header_out + tl) + tr)
-      // + n_tl.
-      const double delivered = ((header_out + tl) + tr) + n_tl;
-      ++delivered_count;
-      texec = std::max(texec, delivered);
-      if (contention_[p] > 0) ++out.num_contended_packets;
-      const std::uint32_t succ_end = hp.succ_end;
-      for (std::uint32_t i = hp.succ_begin; i < succ_end; ++i) {
-        const graph::PacketId succ = succ_list_[i];
-        ready_[succ] = std::max(ready_[succ], delivered);
-        if (--pending_[succ] == 0) inject_bucket(succ);
-      }
-    } else {
-      bucket_.push(static_cast<std::size_t>(header_out + tl), p, hop + 1);
-    }
+  std::uint64_t next_rec = 0;
+  if constexpr (Ckpt) {
+    next_rec = (st.pops / ckpt_interval_res_ + 1) * ckpt_interval_res_;
   }
-  out.texec_ns = texec;
-}
-
-/// The flit backend. Same event skeleton and link-arbitration arithmetic as
-/// run_heap_loop, plus three constraint families, each written so that a
-/// non-binding constraint contributes an exact +0.0 and leaves every
-/// accumulator byte-identical to the link-claim model:
-///
-///  (a) output-link arbitration — unchanged (FIFO by header arrival);
-///  (b) downstream admission — the head additionally waits for buffer space
-///      at the far end of the link it claims: one slot under wormhole
-///      (credits / on-off), the whole buffer under virtual cut-through;
-///  (c) backpressure — a stalled worm's body parks across the input buffers
-///      along its path; whatever a buffer cannot absorb keeps the link
-///      feeding it busy past its nominal tail time.
-///
-/// Port drain schedules are closed-form rather than per-flit events: a worm
-/// streams through a port at one flit per tl, entering from its previous
-/// hop's header-out and leaving from this hop's, so free-slot / all-clear
-/// times follow directly from the two header times and the flit count. That
-/// keeps the event count identical to the link-claim model (one event per
-/// router per packet) while the constraints stay exact within the model.
-template <bool Full>
-void Simulator::run_flit_loop(SimulationResult& out) {
-  const std::size_t num_packets = cdcg_.num_packets();
-  const double tr = tr_;
-  const double tl = tl_;
-  const bool onoff = options_.flow_control == FlowControl::kOnOff;
-  const bool vct = options_.switching == Switching::kVirtualCutThrough;
-  const double depth = static_cast<double>(options_.buffer_depth);
-  // Body slots one input buffer offers a *stalled* worm. On/off raises the
-  // stop signal one slot early to cover the flit in flight.
-  const double stage_slots = onoff && depth > 1.0 ? depth - 1.0 : depth;
-  std::size_t delivered_count = 0;
-  double texec = 0.0;
-  while (!queue_.empty()) {
-    const detail::QueuedEvent ev = queue_.min();
+  while (st.delivered != num_packets) {
+    if constexpr (Ckpt) {
+      if (st.pops == next_rec) {
+        record_ckpt(st, out);
+        next_rec += ckpt_interval_res_;
+      }
+      ++st.pops;
+    }
+    const detail::QueuedEvent ev = queue.next();
     const graph::PacketId p = ev.packet();
     const std::uint32_t hop = ev.hop();
     const double arrival = ev.time_ns();
     const HotPacket& hp = hot_[p];
     const double n_tl = hp.n_tl;
-    const double* hout_row = &hout_arena_[p * flit_stride_];
 
-    if (hop + 1 != hp.len) {
-      const noc::ResourceId link = hp.links[hop];
-      // (a) Output-link arbitration, the link-claim expression verbatim.
+    // The calendar never queues an ejection (it fuses them below).
+    if (Queue::kFusedEjection || hop + 1 != hp.len) {
+      const noc::ResourceId link = links_arena_[p * stride + hop];
       const double free_at = link_free_[link];
-      const double link_wait = arrival < free_at ? free_at - arrival : 0.0;
-      // (b) Downstream admission. port_slot_free_/port_clear_ stay 0.0 for
-      // ports no worm could have filled, so the gate is +0.0 exactly then.
-      const double slot = port_slot_free_[link];
-      const double gate =
-          vct ? port_clear_[link] : (onoff && slot > 0.0 ? slot + tl : slot);
-      const double granted = arrival + link_wait;
-      const double admit_wait = granted < gate ? gate - granted : 0.0;
-      const double wait = link_wait + admit_wait;
+      double wait = arrival < free_at ? free_at - arrival : 0.0;
+      flow.admit(link, arrival, wait, out);
       contention_[p] += wait;
       out.total_contention_ns += wait;
-      out.flit_stall_ns += admit_wait;
       if constexpr (Full) {
         if (wait > 0.0) contended_down_[p] = 1;
       }
       const double header_out = arrival + wait + tr;
       link_free_[link] = header_out + n_tl;
-      hout_arena_[p * flit_stride_ + hop] = header_out;
-      if (hop > 0) {
-        // Drain bookkeeping for the input port this worm just left (the
-        // far end of links[hop-1]): flits enter from hout_row[hop-1] and
-        // leave from header_out, one per tl each way.
-        const noc::ResourceId inport = hp.links[hop - 1];
-        const double hout_prev = hout_row[hop - 1];
-        const double occ = std::min(
-            flits_[p], std::min((header_out - hout_prev) / tl, depth));
-        if (occ > out.flit_max_occupancy) out.flit_max_occupancy = occ;
-        // The whole buffer is clear of this worm once its tail has been
-        // forwarded (VCT admission reads this).
-        port_clear_[inport] = std::max(port_clear_[inport], header_out + n_tl);
-        // A following head finds a free slot once at most stage_slots - 1
-        // of this worm's flits can still be queued here. Worms shorter
-        // than the buffer can never fill it: no update, the gate stays at
-        // its prior value (0.0 when no worm ever filled this port).
-        const double excess = flits_[p] - (stage_slots - 1.0);
-        if (excess > 0.0) {
-          port_slot_free_[inport] = std::max(port_slot_free_[inport],
-                                             header_out + excess * tl);
-        }
-        // (c) Backpressure cascade. The head stalled `wait`; its body backs
-        // up into the buffers behind it, each stage absorbing what fits,
-        // and any leftover keeps the link feeding that stage busy. Under
-        // VCT the downstream buffer holds the whole worm (depth >= flits,
-        // validated), so upstream links are never held.
-        if (wait > 0.0 && !vct) {
-          double remaining = wait;
-          double body = flits_[p] - 1.0;  // Flits behind the head.
-          double cap = stage_slots - 1.0;  // The head occupies one slot.
-          std::uint32_t k = hop;
-          while (k > 0 && body > 0.0) {
-            const double park = std::min(body, cap > 0.0 ? cap : 0.0);
-            remaining -= park * tl;
-            body -= park;
-            if (remaining <= 0.0 || body <= 0.0) break;
-            const noc::ResourceId up = hp.links[k - 1];
-            const double tail_done = hout_row[k - 1] + n_tl + remaining;
-            if (tail_done > link_free_[up]) {
-              out.flit_backpressure_ns += tail_done - link_free_[up];
-              link_free_[up] = tail_done;
-            }
-            --k;
-            cap = stage_slots;
-          }
-        }
-      }
+      flow.claimed(p, hop, header_out, wait, out);
       if constexpr (Full) {
         if (options_.record_traces) {
-          out.packets[p].hops.push_back(
-              HopRecord{link, header_out, header_out + n_tl});
-          out.occupancy[link].push_back(Occupancy{
-              p, header_out, header_out + n_tl, contended_down_[p] != 0});
-          record_router(p, hop, arrival, header_out, out);
+          record_hop(p, hop, link, arrival, header_out, out);
         }
       }
-      queue_.replace_min(detail::QueuedEvent::make(header_out + tl, p,
-                                                   hop + 1));
+      if (Queue::kFusedEjection && hop + 2 == hp.len) {
+        // The final link: eject without a further event, associating as
+        // the unfused ejection does: ((header_out + tl) + tr) + n_tl.
+        deliver<Full, Ckpt>(queue, p, ((header_out + tl) + tr) + n_tl, st,
+                            out);
+      } else {
+        if constexpr (Ckpt) {
+          ev_time_[p] = header_out + tl;
+          ev_hop_[p] = hop + 1;
+        }
+        queue.advance(header_out + tl, p, hop + 1);
+      }
     } else {
-      queue_.pop_min();
-      // Ejection to the destination core: never blocks (link-claim
-      // semantics, kept — the destination NI always accepts flits). The
-      // final router's input port still drains at flit rate, so following
-      // worms see its free-slot / all-clear times.
+      // Ejection to the destination core: never blocks.
+      queue.retire();
       const double header_out = arrival + tr;
-      const double delivered = header_out + n_tl;
-      {
-        const noc::ResourceId inport = hp.links[hop - 1];
-        const double hout_prev = hout_row[hop - 1];
-        const double occ = std::min(
-            flits_[p], std::min((header_out - hout_prev) / tl, depth));
-        if (occ > out.flit_max_occupancy) out.flit_max_occupancy = occ;
-        port_clear_[inport] = std::max(port_clear_[inport], header_out + n_tl);
-        const double excess = flits_[p] - (stage_slots - 1.0);
-        if (excess > 0.0) {
-          port_slot_free_[inport] = std::max(port_slot_free_[inport],
-                                             header_out + excess * tl);
-        }
-      }
+      flow.ejected(p, hop, header_out, out);
       if constexpr (Full) {
         if (options_.record_traces) {
-          const noc::ResourceId local_out = dst_local_out_[p];
-          out.packets[p].hops.push_back(
-              HopRecord{local_out, header_out, header_out + n_tl});
-          out.occupancy[local_out].push_back(Occupancy{
-              p, header_out, header_out + n_tl, contended_down_[p] != 0});
-          record_router(p, hop, arrival, header_out, out);
+          record_hop(p, hop, dst_local_out_[p], arrival, header_out, out);
         }
       }
-      ++delivered_count;
-      texec = std::max(texec, delivered);
-      if (contention_[p] > 0) ++out.num_contended_packets;
-      if constexpr (Full) {
-        PacketTrace& trace = out.packets[p];
-        trace.delivered_ns = delivered;
-        trace.contention_ns = contention_[p];
-      }
-      const std::uint32_t succ_end = hp.succ_end;
-      for (std::uint32_t i = hp.succ_begin; i < succ_end; ++i) {
-        const graph::PacketId succ = succ_list_[i];
-        ready_[succ] = std::max(ready_[succ], delivered);
-        if (--pending_[succ] == 0) inject<Full>(succ, out);
-      }
+      deliver<Full, Ckpt>(queue, p, header_out + n_tl, st, out);
     }
   }
-  out.texec_ns = texec;
-
-  if (delivered_count != num_packets) {
-    throw std::logic_error("simulate: not all packets were delivered");
-  }
+  out.texec_ns = st.texec;
+  return st;
 }
 
 }  // namespace nocmap::sim

@@ -22,15 +22,19 @@
 ///    per-packet routes and energies are pure functions of the endpoint
 ///    tiles, and per-run aggregates are re-accumulated in packet order, so
 ///    results are byte-identical to a freshly constructed Simulator.
-///  * The event loop pops header-arrival events from a flat 4-ary heap of
-///    bit-packed keys (sim/event_queue.hpp) in fully deterministic
-///    (time, packet, hop) order, independent of packet construction order.
+///  * One event loop serves every run. It pops header-arrival events in
+///    fully deterministic (time, packet, hop) order, independent of packet
+///    construction order, from one of two queues (sim/event_queue.hpp): a
+///    flat 4-ary heap of bit-packed keys, or, when every time is an exact
+///    integer, a bucket calendar. A flow-control policy prices each hop:
+///    link claim, or the flit backend's finite buffers. Both choices are
+///    made at construction (docs/simulation.md has the table).
 ///
 /// run(mapping) returns a scalars-only result (no per-packet vectors, no
 /// occupancy lists) with zero heap allocations in the steady state.
 /// run_traced(mapping) produces the full SimulationResult of simulate(),
-/// which is a thin wrapper over this class. Both paths share one event loop,
-/// so scalar and traced results always agree.
+/// which is a thin wrapper over this class. Both paths run the same event
+/// loop, so scalar and traced results agree bitwise.
 ///
 /// A Simulator instance is NOT thread-safe (it mutates its arena); give each
 /// thread its own instance — sim::BatchEvaluator maintains such a pool.
@@ -102,36 +106,46 @@ class Simulator {
   std::uint64_t checkpoint_interval() const { return ckpt_interval_res_; }
 
  private:
+  /// How far a run has got: deliveries, the makespan so far, and (when
+  /// recording checkpoints) the events popped.
+  struct Progress {
+    std::size_t delivered = 0;
+    double texec = 0.0;
+    std::uint64_t pops = 0;
+  };
+  // run_loop's queue policies (HeapQueue, BucketCalendar) and flow-control
+  // policies (LinkClaim, FlitGate), defined in simulator.cpp. Queue
+  // policies are one reference wide and pass by value, so the loop keeps
+  // them in registers.
+  struct HeapQueue;
+  struct BucketCalendar;
+  struct LinkClaim;
+  struct FlitGate;
+
   template <bool Full>
   void run_impl(const mapping::Mapping& mapping, SimulationResult& out);
-  /// The general event loop: 4-ary heap, one event per router of every
-  /// route, optional traces. Handles every SimOptions combination. With
-  /// Ckpt (scalar only) the loop resumes from `delivered0` deliveries /
-  /// `texec0` / `pops0` pops, maintains the per-packet queued-event shadow,
-  /// and snapshots the arena at every ckpt_interval_res_-th pop boundary.
-  template <bool Full, bool Ckpt = false>
-  void run_heap_loop(SimulationResult& out, std::size_t delivered0 = 0,
-                     double texec0 = 0.0, std::uint64_t pops0 = 0);
-  /// The integer-time fast path: bucket-calendar queue, final ejection
-  /// fused into the last link claim. Scalar results only; byte-identical
-  /// to run_heap_loop<false> (see bucket_mode_). `delivered0`/`texec0`
-  /// resume a checkpointed suffix replay (the caller seeds bucket_ first).
-  void run_bucket_loop(SimulationResult& out, std::size_t delivered0 = 0,
-                       double texec0 = 0.0);
-  /// The flit backend (options_.backend == kFlit): the heap loop's link
-  /// arbitration plus finite-buffer admission gates and a backpressure
-  /// cascade. Every correction is a max(0, .)-style term that contributes
-  /// an exact +0.0 when the buffers are deep enough, so results degrade
-  /// bitwise to run_heap_loop (docs/simulation.md spells out the theorem).
-  template <bool Full>
-  void run_flit_loop(SimulationResult& out);
-  template <bool Full>
-  void inject(graph::PacketId p, SimulationResult& out);
-  void inject_bucket(graph::PacketId p);
-  /// Traced path: insert the router occupancy record of `hop` (which
-  /// belongs *before* the link/local-out record appended just prior).
-  void record_router(graph::PacketId p, std::uint32_t hop, double arrival,
-                     double header_out, SimulationResult& out);
+  /// The one event loop: one event per router of every route, popped from
+  /// `queue` (the heap, or the integer-time calendar), with `flow` adding
+  /// its buffer model's constraints to link arbitration. Full records
+  /// traces; Ckpt (scalar heap runs only) keeps the queued-event shadow and
+  /// snapshots the arena every ckpt_interval_res_ pops. Resumes from `st`.
+  template <bool Full, bool Ckpt, class Queue, class Flow>
+  Progress run_loop(Queue queue, const Flow& flow, Progress st,
+                    SimulationResult& out);
+  /// Inject every root packet, then run the loop from the start.
+  template <bool Full, bool Ckpt = false, class Queue, class Flow>
+  Progress run_from_roots(Queue queue, const Flow& flow,
+                          SimulationResult& out);
+  template <bool Full, bool Ckpt, class Queue>
+  void inject(Queue queue, graph::PacketId p, SimulationResult& out);
+  /// Deliver `p` at `delivered_ns` and inject the successors it frees.
+  template <bool Full, bool Ckpt, class Queue>
+  void deliver(Queue queue, graph::PacketId p, double delivered_ns,
+               Progress& st, SimulationResult& out);
+  /// Traced path: append the router record of `hop` and the record of the
+  /// resource the header leaves it on (`next`).
+  void record_hop(graph::PacketId p, std::uint32_t hop, noc::ResourceId next,
+                  double arrival, double header_out, SimulationResult& out);
 
   /// Validate `mapping`'s shape (the one-time bind() check — the event loop
   /// itself is check-free), diff it against the bound mapping, and rebind
@@ -148,9 +162,8 @@ class Simulator {
   /// replay the suffix — or run in full (recording snapshots) when no
   /// usable snapshot exists.
   void run_ckpt(SimulationResult& out);
-  /// Append a snapshot of the current mid-loop state (`pops` pops done).
-  void record_ckpt(std::uint64_t pops, std::size_t delivered, double texec,
-                   const SimulationResult& out);
+  /// Append a snapshot of the current mid-loop state.
+  void record_ckpt(const Progress& at, const SimulationResult& out);
 
   const graph::Cdcg& cdcg_;
   const noc::Topology& topo_;
@@ -158,19 +171,15 @@ class Simulator {
   SimOptions options_;
   noc::RouteTable routes_;
 
-  /// Everything the event loop reads per event, packed to one cache line
-  /// per packet: the bound route's link row and length, the worm's
-  /// serialization time, the CSR successor range and the bounded-buffer
-  /// flag. `links` and `len` are rewritten by rebind_packet(); the rest is
-  /// immutable after construction.
+  /// Everything the event loop reads per event besides the route row,
+  /// packed together per packet: the bound route's length, the worm's
+  /// serialization time and the CSR successor range. `len` is rewritten by
+  /// rebind_packet(); the rest is immutable after construction.
   struct HotPacket {
-    const noc::ResourceId* links = nullptr;
     double n_tl = 0.0;            ///< flits * tl (serialization time).
     std::uint32_t len = 0;        ///< K: routers on the bound route.
     std::uint32_t succ_begin = 0;
     std::uint32_t succ_end = 0;
-    std::uint8_t overflows_buffer = 0;  ///< Worm longer than a router
-                                        ///< buffer (backpressure applies).
   };
 
   // --- Bound once per (cdcg, tech): timing constants, immutable packet data.
@@ -196,6 +205,9 @@ class Simulator {
   std::vector<const noc::TileId*> route_routers_;  ///< Traced path only.
   std::vector<noc::ResourceId> src_local_in_; ///< Injection link per packet.
   std::vector<noc::ResourceId> dst_local_out_;///< Ejection link per packet.
+  /// Per-packet bound route links, one arena_stride_-wide row each.
+  std::vector<noc::ResourceId> links_arena_;
+  std::size_t arena_stride_ = 1;  ///< Longest route's links, rounded to pow2.
   std::vector<double> dyn_energy_;  ///< Per-packet Equation-4 energy.
   std::vector<std::uint64_t> rebind_stamp_;   ///< Dedup for rebinding.
   std::uint64_t stamp_ = 0;
@@ -215,11 +227,9 @@ class Simulator {
   /// injected-but-undelivered packet holds exactly one queued event, so the
   /// queue state is three flat per-packet arrays instead of a heap copy.
   struct Ckpt {
-    std::uint64_t pops = 0;        ///< Pops executed before this boundary.
+    Progress at;                   ///< at.pops: pops before this boundary.
     detail::QueuedEvent next{};    ///< Key of the next pop (validity test).
     bool has_next = false;         ///< False at the end-of-run snapshot.
-    std::size_t delivered = 0;
-    double texec = 0.0;
     double total_contention = 0.0;
     std::size_t num_contended = 0;
     std::vector<std::uint32_t> pending;
@@ -234,7 +244,6 @@ class Simulator {
 
   bool ckpt_active_ = false;      ///< options + eligibility (see ctor).
   bool ckpt_valid_ = false;       ///< Snapshots match the arena's last run.
-  bool ckpt_recording_ = false;   ///< inject() maintains the shadow arrays.
   bool full_rebind_run_ = false;  ///< sync_bind() took the first-bind path.
   std::uint64_t ckpt_interval_res_ = 0;  ///< Resolved snapshot cadence.
   std::vector<Ckpt> ckpts_;       ///< Slot pool, reused across runs.
@@ -244,31 +253,26 @@ class Simulator {
   std::vector<double> ev_time_;
   std::vector<std::uint32_t> ev_hop_;
   std::vector<std::uint8_t> ev_state_;
-  std::uint64_t ckpt_run_pops_ = 0;  ///< Total pops of the last ckpt run.
   CheckpointStats ckpt_stats_;
-  /// Suffix replays normally run through the bucket fast path (when
+  /// Suffix replays normally run on the bucket calendar (when
   /// bucket_mode_), whose mid-run states cannot be snapshotted (the fused
   /// ejection applies successor effects at an earlier pop position). Every
-  /// kCkptRefreshPeriod-th restored replay runs through the recording heap
-  /// loop instead, so the snapshot ladder regrows behind the walk's
-  /// earliest affected instant after truncations.
+  /// kCkptRefreshPeriod-th restored replay runs on the recording heap
+  /// instead, so the snapshot ladder regrows behind the walk's earliest
+  /// affected instant after truncations.
   static constexpr std::uint32_t kCkptRefreshPeriod = 16;
   std::uint32_t ckpt_replays_since_refresh_ = 0;
 
   // --- Integer-time fast path ----------------------------------------------
   /// True when every timing constant is an exact integer (in ns), routes
-  /// are short enough to pack, and the worst-case horizon is bounded —
-  /// verified in the constructor, never assumed. Scalar runs then use the
-  /// bucket-calendar queue and the dense link arena; all arithmetic stays
-  /// exact, so results are byte-identical to the general path.
+  /// are short enough to pack, the worst-case horizon is bounded and
+  /// contend_local_in is off — verified in the constructor, never assumed.
+  /// Scalar runs then use the bucket calendar; all arithmetic stays exact,
+  /// so results are byte-identical to the heap.
   bool bucket_mode_ = false;
-  std::size_t arena_stride_ = 0;        ///< Links per packet row (pow2).
-  std::vector<noc::ResourceId> links_arena_;  ///< Dense per-packet rows.
   detail::BucketQueue bucket_;
 
   // --- Flit backend (options_.backend == kFlit) ----------------------------
-  std::size_t flit_stride_ = 0;     ///< header-out slots per packet row.
-  double max_flits_ = 0.0;          ///< Largest packet, in flits.
   /// Per-(packet, hop) header-out history of the current run — the
   /// backpressure cascade needs the upstream flit-arrival schedule, which
   /// is not derivable from the head event alone.

@@ -55,10 +55,24 @@ void* operator new(std::size_t size) {
   throw std::bad_alloc();
 }
 void* operator new[](std::size_t size) { return ::operator new(size); }
+// The nothrow forms too (std::stable_sort's buffer uses them): otherwise
+// they would come from the default allocator and be freed by the
+// replacements below, which sanitizers report as a mismatch.
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  g_cli_allocations.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size ? size : 1);
+}
+void* operator new[](std::size_t size, const std::nothrow_t& tag) noexcept {
+  return ::operator new(size, tag);
+}
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
 
 namespace {
 

@@ -306,12 +306,6 @@ TEST(FlitOptionValidation, RejectsIllegalCombinations) {
       simulate(inst.cdcg, inst.mesh, inst.mapping, inst.tech, zero_depth),
       std::invalid_argument);
 
-  SimOptions legacy_knob = shallow(4);
-  legacy_knob.buffer_flits = 16;  // The link-claim-only buffer model.
-  EXPECT_THROW(
-      simulate(inst.cdcg, inst.mesh, inst.mapping, inst.tech, legacy_knob),
-      std::invalid_argument);
-
   // Virtual cut-through stores whole packets: depth 1 cannot hold the
   // multi-flit worms this instance carries.
   SimOptions vct = shallow(1);

@@ -222,7 +222,8 @@ TEST(ScheduleTest, EmptyCdcgRunsInZeroTime) {
 TEST(ScheduleTest, BoundedBuffersIncreaseUpstreamPressure) {
   // Chain contention: worm X blocks at the last hop while worm Y wants X's
   // upstream link. With unbounded buffers Y proceeds as soon as X's tail
-  // clears that link; with tiny buffers the upstream link stays busy longer.
+  // clears that link; with two-flit flit-backend buffers the upstream link
+  // stays busy longer.
   graph::Cdcg cdcg;
   const auto a = cdcg.add_core("a");
   const auto b = cdcg.add_core("b");
@@ -242,7 +243,8 @@ TEST(ScheduleTest, BoundedBuffersIncreaseUpstreamPressure) {
 
   SimOptions unbounded;
   SimOptions tiny;
-  tiny.buffer_flits = 2;
+  tiny.backend = SimBackend::kFlit;
+  tiny.buffer_depth = 2;
   const auto loose = simulate(cdcg, mesh, m, unit_tech(), unbounded);
   const auto tight = simulate(cdcg, mesh, m, unit_tech(), tiny);
   EXPECT_GE(tight.total_contention_ns, loose.total_contention_ns);

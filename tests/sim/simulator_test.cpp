@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include "nocmap/noc/express_mesh.hpp"
+#include "nocmap/noc/torus.hpp"
 #include "nocmap/sim/schedule.hpp"
 #include "nocmap/workload/paper_example.hpp"
 #include "nocmap/workload/random_cdcg.hpp"
@@ -19,11 +21,13 @@ graph::Cdcg random_cdcg(std::uint32_t cores, std::uint64_t seed) {
   return workload::generate_random_cdcg(params, rng);
 }
 
+// Every path runs the same event loop, so agreement is exact, not within
+// a few ULPs.
 void expect_same_scalars(const SimulationResult& a, const SimulationResult& b) {
-  EXPECT_DOUBLE_EQ(a.texec_ns, b.texec_ns);
-  EXPECT_DOUBLE_EQ(a.energy.dynamic_j, b.energy.dynamic_j);
-  EXPECT_DOUBLE_EQ(a.energy.static_j, b.energy.static_j);
-  EXPECT_DOUBLE_EQ(a.total_contention_ns, b.total_contention_ns);
+  EXPECT_EQ(a.texec_ns, b.texec_ns);
+  EXPECT_EQ(a.energy.dynamic_j, b.energy.dynamic_j);
+  EXPECT_EQ(a.energy.static_j, b.energy.static_j);
+  EXPECT_EQ(a.total_contention_ns, b.total_contention_ns);
   EXPECT_EQ(a.num_contended_packets, b.num_contended_packets);
 }
 
@@ -111,18 +115,16 @@ TEST(SimulatorTest, RunTracedMatchesSimulateIncludingTraces) {
   expect_same_scalars(a, b);
   ASSERT_EQ(a.packets.size(), b.packets.size());
   for (std::size_t p = 0; p < a.packets.size(); ++p) {
-    EXPECT_DOUBLE_EQ(a.packets[p].ready_ns, b.packets[p].ready_ns);
-    EXPECT_DOUBLE_EQ(a.packets[p].inject_ns, b.packets[p].inject_ns);
-    EXPECT_DOUBLE_EQ(a.packets[p].delivered_ns, b.packets[p].delivered_ns);
-    EXPECT_DOUBLE_EQ(a.packets[p].contention_ns, b.packets[p].contention_ns);
+    EXPECT_EQ(a.packets[p].ready_ns, b.packets[p].ready_ns);
+    EXPECT_EQ(a.packets[p].inject_ns, b.packets[p].inject_ns);
+    EXPECT_EQ(a.packets[p].delivered_ns, b.packets[p].delivered_ns);
+    EXPECT_EQ(a.packets[p].contention_ns, b.packets[p].contention_ns);
     EXPECT_EQ(a.packets[p].num_routers, b.packets[p].num_routers);
     ASSERT_EQ(a.packets[p].hops.size(), b.packets[p].hops.size());
     for (std::size_t h = 0; h < a.packets[p].hops.size(); ++h) {
       EXPECT_EQ(a.packets[p].hops[h].resource, b.packets[p].hops[h].resource);
-      EXPECT_DOUBLE_EQ(a.packets[p].hops[h].start_ns,
-                       b.packets[p].hops[h].start_ns);
-      EXPECT_DOUBLE_EQ(a.packets[p].hops[h].end_ns,
-                       b.packets[p].hops[h].end_ns);
+      EXPECT_EQ(a.packets[p].hops[h].start_ns, b.packets[p].hops[h].start_ns);
+      EXPECT_EQ(a.packets[p].hops[h].end_ns, b.packets[p].hops[h].end_ns);
     }
   }
   ASSERT_EQ(a.occupancy.size(), b.occupancy.size());
@@ -130,8 +132,8 @@ TEST(SimulatorTest, RunTracedMatchesSimulateIncludingTraces) {
     ASSERT_EQ(a.occupancy[r].size(), b.occupancy[r].size());
     for (std::size_t i = 0; i < a.occupancy[r].size(); ++i) {
       EXPECT_EQ(a.occupancy[r][i].packet, b.occupancy[r][i].packet);
-      EXPECT_DOUBLE_EQ(a.occupancy[r][i].start_ns, b.occupancy[r][i].start_ns);
-      EXPECT_DOUBLE_EQ(a.occupancy[r][i].end_ns, b.occupancy[r][i].end_ns);
+      EXPECT_EQ(a.occupancy[r][i].start_ns, b.occupancy[r][i].start_ns);
+      EXPECT_EQ(a.occupancy[r][i].end_ns, b.occupancy[r][i].end_ns);
       EXPECT_EQ(a.occupancy[r][i].contended, b.occupancy[r][i].contended);
     }
   }
@@ -143,7 +145,6 @@ TEST(SimulatorTest, HonoursBufferAndLocalInOptions) {
   const energy::Technology tech = energy::technology_0_07u();
   SimOptions options;
   options.record_traces = false;
-  options.buffer_flits = 2;
   options.contend_local_in = true;
 
   Simulator simulator(cdcg, mesh, tech, options);
@@ -153,6 +154,70 @@ TEST(SimulatorTest, HonoursBufferAndLocalInOptions) {
         mapping::Mapping::random(mesh, cdcg.num_cores(), rng);
     expect_same_scalars(simulator.run(m),
                         simulate(cdcg, mesh, m, tech, options));
+  }
+}
+
+// On integer timing run() takes the bucket calendar; with a 1.5 ns clock
+// (non-integer flit times) both sides take the heap.
+TEST(SimulatorTest, RunMatchesRunTracedOnEveryTopologyAndQueue) {
+  const graph::Cdcg cdcg = random_cdcg(10, 41);
+  const noc::Mesh mesh(4, 3);
+  const noc::Torus torus(4, 3);
+  const noc::ExpressMesh xmesh(4, 3, 2);
+  energy::Technology slow_clock = energy::technology_0_07u();
+  slow_clock.clock_period_ns = 1.5;
+  for (const noc::Topology* topo :
+       {static_cast<const noc::Topology*>(&mesh),
+        static_cast<const noc::Topology*>(&torus),
+        static_cast<const noc::Topology*>(&xmesh)}) {
+    for (const energy::Technology& tech :
+         {energy::technology_0_07u(), slow_clock}) {
+      SCOPED_TRACE(topo->label() + " at " +
+                   std::to_string(tech.clock_period_ns) + " ns");
+      SimOptions options;
+      options.record_traces = false;
+      Simulator simulator(cdcg, *topo, tech, options);
+      util::Rng rng(5);
+      for (int trial = 0; trial < 15; ++trial) {
+        const mapping::Mapping m =
+            mapping::Mapping::random(*topo, cdcg.num_cores(), rng);
+        const SimulationResult traced = simulator.run_traced(m);
+        expect_same_scalars(simulator.run(m), traced);
+      }
+    }
+  }
+}
+
+// contend_local_in makes injection order observable: a successor must be
+// injected at its predecessor's delivery, in event order.
+TEST(SimulatorTest, RunMatchesRunTracedWithAndWithoutLocalInContention) {
+  const energy::Technology tech = energy::technology_0_07u();
+  for (std::uint32_t cores = 6; cores <= 12; ++cores) {
+    const noc::Mesh mesh(4, cores <= 8 ? 2 : 3);
+    for (std::uint32_t per_core = 3; per_core <= 7; ++per_core) {
+      workload::RandomCdcgParams params;
+      params.num_cores = cores;
+      params.num_packets = cores * per_core;
+      params.total_bits = params.num_packets * 200;
+      util::Rng graph_rng(cores * 100 + per_core);
+      const graph::Cdcg cdcg = workload::generate_random_cdcg(params, graph_rng);
+      for (const bool local_in : {false, true}) {
+        SCOPED_TRACE(std::to_string(cores) + " cores, " +
+                     std::to_string(params.num_packets) + " packets, " +
+                     (local_in ? "contend_local_in" : "free local links"));
+        SimOptions options;
+        options.record_traces = false;
+        options.contend_local_in = local_in;
+        Simulator simulator(cdcg, mesh, tech, options);
+        util::Rng rng(cores * 7 + per_core);
+        for (int trial = 0; trial < 20; ++trial) {
+          const mapping::Mapping m =
+              mapping::Mapping::random(mesh, cores, rng);
+          const SimulationResult traced = simulator.run_traced(m);
+          expect_same_scalars(simulator.run(m), traced);
+        }
+      }
+    }
   }
 }
 
