@@ -60,13 +60,13 @@ Explorer::Explorer(const graph::Cdcg& cdcg, const noc::Topology& topo,
 bool Explorer::would_use_exhaustive() const {
   const std::uint64_t placements = search::placement_count(
       topo_.num_tiles(), static_cast<std::uint32_t>(cdcg_.num_cores()));
-  // Exhaustive search only restricts core 0's tile to one representative
-  // per symmetry orbit, so the realized pruning can never exceed the
-  // first-tile collapse — num_tiles at best — no matter how large the
-  // group is (on a torus, ring rotations alone already collapse the first
-  // tile, and the dihedral factor buys nothing more). Capping keeps the
-  // historical mesh behaviour (group 4/8 < num_tiles) bit-identical while
-  // stopping torus auto-ES from blowing the evaluation budget by 8x.
+  // The estimate divides by the topology's group size capped at
+  // num_tiles, the most a first-tile collapse alone can prune (on a torus
+  // the ring rotations already collapse the first tile). Every ES/SA
+  // decision has been made by this rule, and it is kept so that no
+  // application switches engines. ES itself prices one placement per orbit
+  // of the objective's own group, so the space it enumerates differs from
+  // this estimate by the ratio of the two group sizes.
   const std::uint64_t group = std::min<std::uint64_t>(
       topo_.symmetry_maps().size(), topo_.num_tiles());
   return placements / group <= options_.es_auto_threshold;
@@ -139,11 +139,16 @@ search::SearchResult Explorer::run_sa_chains(
   return best;
 }
 
-search::SearchResult Explorer::run_batched_exhaustive() const {
+search::SearchResult Explorer::run_batched_exhaustive(
+    const CostFactory& make_cost) const {
   // The CDCM objective is a pure function of the mapping, so the search
   // reduces to pricing every enumerated placement — exactly the shape
   // sim::BatchEvaluator parallelizes. Enumeration-order reduction keeps the
   // outcome byte-identical to the serial engine for every thread count.
+  // The enumeration collapses by the objective's own symmetry group.
+  const std::vector<std::vector<noc::TileId>> group =
+      options_.es.use_symmetry ? make_cost()->symmetry_group(topo_)
+                               : std::vector<std::vector<noc::TileId>>{};
   sim::SimOptions so = sim_options();
   so.record_traces = false;
   sim::BatchEvaluator evaluator(cdcg_, topo_, options_.tech, so,
@@ -152,7 +157,7 @@ search::SearchResult Explorer::run_batched_exhaustive() const {
       cdcg_.num_cores(), topo_,
       [&](const mapping::Mapping* mappings, std::size_t count,
           double* costs) { evaluator.evaluate_costs(mappings, count, costs); },
-      options_.es, std::max<std::uint32_t>(1, options_.es_batch_size));
+      group, options_.es, std::max<std::uint32_t>(1, options_.es_batch_size));
 }
 
 search::SearchResult Explorer::run_branch_and_bound(
@@ -218,7 +223,7 @@ ModelOutcome Explorer::run(const CostFactory& make_cost,
       // The timing-aware objectives (CDCM, and hybrid — whose cost() IS
       // the CDCM objective) go through the batch evaluator; CWM keeps the
       // cheap serial engine.
-      if (timing_model) return run_batched_exhaustive();
+      if (timing_model) return run_batched_exhaustive(make_cost);
       const std::unique_ptr<mapping::CostFunction> cost = make_cost();
       return search::exhaustive_search(*cost, topo_, options_.es);
     }

@@ -229,8 +229,10 @@ class Explorer {
                                      PortfolioSummary& summary) const;
   search::SearchResult run_sa_chains(const CostFactory& make_cost,
                                      const mapping::Mapping* sa_initial) const;
-  /// CDCM/hybrid exhaustive search, sharded over a sim::BatchEvaluator.
-  search::SearchResult run_batched_exhaustive() const;
+  /// CDCM/hybrid exhaustive search, sharded over a sim::BatchEvaluator and
+  /// collapsed by the symmetry group of the objective `make_cost` builds.
+  search::SearchResult run_batched_exhaustive(
+      const CostFactory& make_cost) const;
   /// Branch and bound with a greedy (or `incumbent`-provided) + SA seed.
   search::SearchResult run_branch_and_bound(
       const CostFactory& make_cost, const mapping::Mapping* incumbent) const;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <numeric>
 #include <stdexcept>
 
 #include "nocmap/energy/energy_model.hpp"
@@ -16,6 +17,14 @@ double CostFunction::swap_delta(const Mapping&, noc::TileId,
 std::unique_ptr<CostFunction::LowerBound> CostFunction::make_lower_bound()
     const {
   throw std::logic_error("make_lower_bound: not implemented by " + name());
+}
+
+std::vector<std::vector<noc::TileId>> CostFunction::symmetry_group(
+    const noc::Topology& topo) const {
+  if (symmetry_invariant()) return topo.symmetry_maps();
+  std::vector<noc::TileId> identity(topo.num_tiles());
+  std::iota(identity.begin(), identity.end(), noc::TileId{0});
+  return {std::move(identity)};
 }
 
 void CostFunction::apply_swap(Mapping& m, noc::TileId a, noc::TileId b) const {
@@ -789,6 +798,38 @@ CdcmCost::CdcmCost(const graph::Cdcg& cdcg, const noc::Topology& topo,
   sim_options.record_traces = true;  // Only honoured by the traced path.
   simulator_ =
       std::make_unique<sim::Simulator>(cdcg_, topo_, tech_, sim_options);
+}
+
+std::vector<std::vector<noc::TileId>> CdcmCost::symmetry_group(
+    const noc::Topology& topo) const {
+  const std::uint32_t n = topo.num_tiles();
+  std::vector<std::vector<noc::TileId>> routers(std::size_t{n} * n);
+  for (noc::TileId s = 0; s < n; ++s) {
+    for (noc::TileId d = 0; d < n; ++d) {
+      routers[std::size_t{s} * n + d] = topo.route(s, d, routing_).routers;
+    }
+  }
+  const auto carries_routes = [&](const std::vector<noc::TileId>& g) {
+    for (noc::TileId s = 0; s < n; ++s) {
+      for (noc::TileId d = 0; d < n; ++d) {
+        const std::vector<noc::TileId>& route = routers[std::size_t{s} * n + d];
+        const std::vector<noc::TileId>& image =
+            routers[std::size_t{g[s]} * n + g[d]];
+        if (!std::equal(route.begin(), route.end(), image.begin(), image.end(),
+                        [&](noc::TileId r, noc::TileId i) {
+                          return g[r] == i;
+                        })) {
+          return false;
+        }
+      }
+    }
+    return true;
+  };
+  std::vector<std::vector<noc::TileId>> group;
+  for (const std::vector<noc::TileId>& g : topo.symmetry_maps()) {
+    if (carries_routes(g)) group.push_back(g);
+  }
+  return group;
 }
 
 double CdcmCost::run_cost(const Mapping& m) const {

@@ -26,6 +26,7 @@
 #include <optional>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "nocmap/energy/technology.hpp"
 #include "nocmap/graph/cdcg.hpp"
@@ -200,13 +201,27 @@ class CostFunction {
   /// throws std::logic_error.
   virtual std::unique_ptr<LowerBound> make_lower_bound() const;
 
-  /// True when cost() is exactly invariant under the bound topology's
-  /// symmetry_maps() (CWM: hop counts are preserved by automorphisms).
-  /// Branch-and-bound only applies the first-tile symmetry collapse to
-  /// invariant objectives; the CDCM simulation is only approximately
-  /// invariant (a reflection maps XY routes onto YX routes), so it is
-  /// searched unrestricted.
+  // --- Symmetry (exhaustive and branch-and-bound pruning) ------------------
+
+  /// True when cost() is exactly invariant under every map of the bound
+  /// topology's symmetry_maps() (CWM: hop counts are distances, and
+  /// automorphisms preserve distances). The default symmetry_group() is
+  /// built from this answer.
   virtual bool symmetry_invariant() const { return false; }
+
+  /// The tile permutations g of `topo`, the topology this cost function is
+  /// bound to, under which cost() is exactly invariant: cost(g∘m) equals
+  /// cost(m) bitwise for every mapping m, where g∘m places core c on tile
+  /// g(m(c)). A subgroup of topo.symmetry_maps() that contains the
+  /// identity. Exhaustive search enumerates one placement per orbit of this
+  /// group; branch and bound pins core 0 to one tile per orbit.
+  ///
+  /// The default is every symmetry_maps() map when symmetry_invariant(),
+  /// and the identity alone otherwise. CdcmCost keeps only the maps that
+  /// carry routes onto routes. Computed on every call, so a search asks
+  /// once.
+  virtual std::vector<std::vector<noc::TileId>> symmetry_group(
+      const noc::Topology& topo) const;
 };
 
 /// Equation 3 — EDyNoC(CWM) = sum over all communications of w_ab * EBit_ij.
@@ -326,6 +341,15 @@ class CdcmCost final : public CostFunction {
   bool has_lower_bound() const override { return true; }
   std::unique_ptr<LowerBound> make_lower_bound() const override;
 
+  /// The symmetry_maps() maps g that carry every route onto a route under
+  /// the bound routing: routers(g(s), g(d)) == g(routers(s, d)) for every
+  /// tile pair. Under such a map a simulation, link-claim or flit, is a
+  /// relabeling of the resources, so the cost agrees bitwise. For XY on a
+  /// square mesh these are the 4 flips; a transpose turns XY routes into YX
+  /// routes.
+  std::vector<std::vector<noc::TileId>> symmetry_group(
+      const noc::Topology& topo) const override;
+
   /// Full simulation (with traces) of a mapping — used for reporting after
   /// the search picked a winner.
   sim::SimulationResult evaluate(const Mapping& m) const;
@@ -402,6 +426,11 @@ class HybridCost final : public CostFunction {
   bool has_lower_bound() const override { return true; }
   std::unique_ptr<LowerBound> make_lower_bound() const override {
     return cdcm_.make_lower_bound();
+  }
+  /// cost() is the exact CDCM objective, so its group is CDCM's.
+  std::vector<std::vector<noc::TileId>> symmetry_group(
+      const noc::Topology& topo) const override {
+    return cdcm_.symmetry_group(topo);
   }
 
   std::uint32_t cdcm_cadence() const { return cadence_; }

@@ -182,12 +182,13 @@ class Topology {
 
   // --- Search support ------------------------------------------------------
 
-  /// Tile permutations that preserve distance (hence the CWM objective):
-  /// used by exhaustive and branch-and-bound search to prune symmetric
-  /// placements, and by the Explorer's ES-auto estimate. Always contains at
-  /// least the identity. Note the usual fine print: the CDCM (simulation)
-  /// objective is only approximately invariant under reflections, since a
-  /// reflection maps e.g. XY routes onto YX routes.
+  /// Tile permutations that preserve distance, hence the CWM objective.
+  /// Always contains at least the identity. Each objective draws from these
+  /// the maps it is exactly invariant under
+  /// (mapping::CostFunction::symmetry_group), which exhaustive and
+  /// branch-and-bound search prune by: all of them for CWM, only the
+  /// route-preserving ones for CDCM, since e.g. a transpose turns XY routes
+  /// into YX routes. The Explorer's ES-auto estimate reads the full set.
   ///
   /// Computed once per instance by compute_symmetry_maps() and cached
   /// (thread-safe — instances are shared by concurrent search workers), so

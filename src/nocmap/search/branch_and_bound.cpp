@@ -12,7 +12,6 @@
 #include <thread>
 #include <vector>
 
-#include "nocmap/search/exhaustive.hpp"
 #include "nocmap/util/rng.hpp"
 
 namespace nocmap::search {
@@ -59,8 +58,9 @@ struct SearchPlan {
   std::size_t num_cores = 0;
   std::uint32_t num_tiles = 0;
   std::vector<graph::CoreId> order;       ///< Placement order.
-  std::vector<noc::TileId> first_tiles;   ///< Candidates for core id 0.
-  bool symmetry = false;
+  /// Candidates for core id 0: the minimum of each orbit of the
+  /// objective's symmetry group (every tile without symmetry).
+  std::vector<noc::TileId> first_tiles;
   std::vector<std::vector<noc::TileId>> prefixes;  ///< One per subtree task.
   double incumbent_cost = kInf;           ///< Seeded incumbent (SA/greedy).
   std::uint64_t max_nodes = 0;
@@ -75,20 +75,37 @@ struct SearchPlan {
 /// Fan-out of the enumeration below each level, for the eliminated-node
 /// accounting. The core-0 level uses the symmetry-collapsed candidate
 /// count (exact when core 0 leads the order, a close upper bound
-/// otherwise — occupied tiles may overlap the orbit representatives).
+/// otherwise — occupied tiles may overlap the orbit minima).
 std::vector<std::uint64_t> eliminated_subtree_sizes(const SearchPlan& plan) {
   const std::size_t n = plan.num_cores;
   std::vector<std::uint64_t> eliminated(n, 1);
   for (std::size_t level = n - 1; level-- > 0;) {
     const std::size_t child = level + 1;
     std::uint64_t fanout = plan.num_tiles - static_cast<std::uint64_t>(child);
-    if (plan.order[child] == 0 && plan.symmetry) {
+    if (plan.order[child] == 0) {
       fanout = std::min<std::uint64_t>(fanout, plan.first_tiles.size());
     }
     eliminated[level] = saturating_add(
         1, saturating_mul(fanout, eliminated[child]));
   }
   return eliminated;
+}
+
+/// The smallest tile of each orbit of `group`, in increasing order: the
+/// tiles no map of the group sends to a smaller one.
+std::vector<noc::TileId> orbit_minima(
+    const std::vector<std::vector<noc::TileId>>& group,
+    std::uint32_t num_tiles) {
+  std::vector<noc::TileId> minima;
+  for (noc::TileId t = 0; t < num_tiles; ++t) {
+    if (std::none_of(group.begin(), group.end(),
+                     [t](const std::vector<noc::TileId>& g) {
+                       return g[t] < t;
+                     })) {
+      minima.push_back(t);
+    }
+  }
+  return minima;
 }
 
 /// Mutable coordination between workers.
@@ -229,7 +246,7 @@ class ShardRunner {
 
   void descend(std::size_t level) {
     const graph::CoreId core = plan_.order[level];
-    if (core == 0 && plan_.symmetry) {
+    if (core == 0) {
       for (const noc::TileId t : plan_.first_tiles) {
         if (!visit(level, core, t)) return;
       }
@@ -276,7 +293,6 @@ std::vector<std::vector<noc::TileId>> make_prefixes(const SearchPlan& plan,
       return;
     }
     const graph::CoreId core = plan.order[level];
-    const bool restricted = core == 0 && plan.symmetry;
     const auto try_tile = [&](noc::TileId t) {
       if (used[t]) return;
       used[t] = 1;
@@ -285,7 +301,7 @@ std::vector<std::vector<noc::TileId>> make_prefixes(const SearchPlan& plan,
       prefix.pop_back();
       used[t] = 0;
     };
-    if (restricted) {
+    if (core == 0) {
       for (const noc::TileId t : plan.first_tiles) try_tile(t);
     } else {
       for (noc::TileId t = 0; t < plan.num_tiles; ++t) try_tile(t);
@@ -321,8 +337,10 @@ SearchResult run_search(const mapping::CostFunction& setup_cost,
   plan.topo = &topo;
   plan.num_cores = num_cores;
   plan.num_tiles = num_tiles;
-  plan.symmetry = options.use_symmetry && setup_cost.symmetry_invariant();
-  plan.first_tiles = symmetry_first_tiles(topo, plan.symmetry);
+  plan.first_tiles = orbit_minima(
+      options.use_symmetry ? setup_cost.symmetry_group(topo)
+                           : std::vector<std::vector<noc::TileId>>{},
+      num_tiles);
   plan.max_nodes = options.max_nodes;
   plan.share_incumbent = options.share_incumbent;
   plan.cancel = options.cancel;
@@ -430,10 +448,11 @@ SearchResult run_search(const mapping::CostFunction& setup_cost,
   result.exhausted = !state.truncated.load(std::memory_order_relaxed);
 
   // A completed tree always contains a leaf at least as good as the seeded
-  // incumbent (the incumbent — or, under symmetry collapse of an invariant
-  // objective, one of its images — is itself enumerable and strict pruning
-  // never cuts it), so the tree winner is the search-space optimum. Only a
-  // budget-truncated run may have to fall back to the incumbent.
+  // incumbent (the incumbent — or, under the symmetry collapse, one of its
+  // images, which costs the same bit for bit — is itself enumerable and
+  // strict pruning never cuts it), so the tree winner is the search-space
+  // optimum. Only a budget-truncated run may have to fall back to the
+  // incumbent.
   if (tree_best != nullptr &&
       (result.exhausted || !seed_map || tree_cost <= plan.incumbent_cost)) {
     result.best = mapping::Mapping::from_assignment(topo, *tree_best);

@@ -19,11 +19,12 @@
 ///  * The exact prefix cost is maintained incrementally as cores are
 ///    placed/unplaced (O(deg) push/pop over the incident-edge lists), plus
 ///    an admissible remainder bound per LowerBound::bound().
-///  * First-tile symmetry collapse: when the objective is exactly invariant
-///    under the topology's symmetry group (CostFunction::symmetry_invariant
-///    — CWM), core 0 is restricted to one representative tile per orbit,
-///    exactly like exhaustive_search, so both engines search the same
-///    space. Non-invariant objectives (CDCM) are searched unrestricted.
+///  * First-tile symmetry collapse: core 0 is restricted to the smallest
+///    tile of each orbit of the objective's own symmetry group
+///    (CostFunction::symmetry_group: every topology symmetry for CWM, the
+///    route-preserving ones for CDCM). The group leaves the cost unchanged
+///    bit for bit, so the collapse is exact, and the lexicographically
+///    smallest optimum, which the tie-break returns, always survives it.
 ///  * The incumbent is seeded by simulated annealing (optionally started
 ///    from a caller-provided mapping such as a greedy construction), so
 ///    pruning bites from the first node.
@@ -58,9 +59,8 @@
 namespace nocmap::search {
 
 struct BnbOptions {
-  /// Restrict core 0 to one tile per symmetry orbit. Only applied when the
-  /// cost function reports symmetry_invariant() (exact pruning); ignored
-  /// otherwise.
+  /// Restrict core 0 to one tile per orbit of the cost function's
+  /// symmetry_group() (exact pruning); false searches every tile.
   bool use_symmetry = true;
 
   /// Stop after this many lower-bound tests (SearchResult::nodes_tested —

@@ -32,10 +32,10 @@ graph::Cdcg random_workload(std::uint32_t cores, std::uint64_t seed = 1) {
 // --- Equivalence with exhaustive search ------------------------------------
 //
 // The acceptance contract of the engine: on enumerable instances the B&B
-// optimum (cost AND mapping) is byte-identical to exhaustive_search over the
-// same space. CWM searches the symmetry-collapsed space like ES's default;
-// CDCM is not symmetry-invariant, so B&B searches unrestricted and is
-// compared against ES with pruning disabled.
+// optimum (cost AND mapping) is byte-identical to exhaustive_search. Both
+// engines collapse by the objective's own symmetry group, under which the
+// cost is exactly invariant, so both return the lexicographically smallest
+// optimum of the full space: the one ES returns with pruning disabled.
 
 TEST(BranchAndBoundTest, MatchesExhaustiveCwmOnAllTopologies) {
   const energy::Technology tech = energy::technology_0_07u();
@@ -63,13 +63,14 @@ TEST(BranchAndBoundTest, MatchesExhaustiveCdcmOnAllTopologies) {
     SCOPED_TRACE(kind);
     const std::unique_ptr<noc::Topology> topo = noc::make_topology(kind, 3, 3);
     const mapping::CdcmCost cost(cdcg, *topo, tech);
-    // CDCM is only approximately symmetry-invariant, so B&B searches the
-    // full space; the ES reference must do the same.
-    EsOptions es_options;
-    es_options.use_symmetry = false;
-    const SearchResult es = exhaustive_search(cost, *topo, es_options);
+    EsOptions full;
+    full.use_symmetry = false;
+    const SearchResult es_full = exhaustive_search(cost, *topo, full);
+    const SearchResult es = exhaustive_search(cost, *topo);
     const SearchResult bb = branch_and_bound(cost, *topo);
     EXPECT_TRUE(bb.exhausted);
+    EXPECT_EQ(bb.best_cost, es_full.best_cost);
+    EXPECT_EQ(bb.best, es_full.best);
     EXPECT_EQ(bb.best_cost, es.best_cost);
     EXPECT_EQ(bb.best, es.best);
   }

@@ -4,6 +4,7 @@
 /// size and BatchEvaluator thread count, including under a budget.
 
 #include <memory>
+#include <stdexcept>
 
 #include <gtest/gtest.h>
 
@@ -56,7 +57,7 @@ TEST_P(BatchedEsTest, MatchesSerialCdcmSearch) {
               double* costs) {
             evaluator.evaluate_costs(mappings, count, costs);
           },
-          {}, shard);
+          cost.symmetry_group(*topo), {}, shard);
       expect_same(batched, serial);
     }
   }
@@ -82,7 +83,7 @@ TEST(BatchedEsBudgetTest, BudgetSemanticsMatchSerial) {
       cost.num_cores(), mesh,
       [&](const mapping::Mapping* mappings, std::size_t count,
           double* costs) { evaluator.evaluate_costs(mappings, count, costs); },
-      budget, 32);
+      cost.symmetry_group(mesh), budget, 32);
   expect_same(batched, serial);
 }
 
@@ -100,8 +101,17 @@ TEST(BatchedEsBudgetTest, NoSymmetryEnumerationMatchesToo) {
       cost.num_cores(), mesh,
       [&](const mapping::Mapping* mappings, std::size_t count,
           double* costs) { evaluator.evaluate_costs(mappings, count, costs); },
-      options, 16);
+      cost.symmetry_group(mesh), options, 16);
   expect_same(batched, serial);
+}
+
+TEST(BatchedEsInputTest, RejectsASymmetryMapOfAnotherBoard) {
+  const noc::Mesh mesh(3, 2);
+  const noc::Mesh other(3, 3);
+  EXPECT_THROW(exhaustive_search_batched(
+                   4, mesh, [](const mapping::Mapping*, std::size_t, double*) {},
+                   other.symmetry_maps()),
+               std::invalid_argument);
 }
 
 }  // namespace
