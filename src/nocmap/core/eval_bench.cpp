@@ -132,7 +132,7 @@ PipelineWorkload make_pipeline_workload(std::uint32_t tiles) {
 
 std::string EvalBenchReport::to_json() const {
   std::ostringstream os;
-  os << "{\n  \"bench\": \"eval_engine\",\n  \"schema\": 6,\n"
+  os << "{\n  \"bench\": \"eval_engine\",\n  \"schema\": 7,\n"
      << "  \"unit\": \"evaluations_per_second\",\n"
      << "  \"host_threads\": " << host_threads << ",\n"
      << "  \"rows\": [\n";
@@ -202,7 +202,12 @@ std::string EvalBenchReport::to_json() const {
     {
       std::ostringstream precise;
       precise.precision(17);
-      precise << r.bnb_best_j << ", \"es_best\": " << r.es_best_j;
+      precise << r.bnb_best_j << ", \"es_best\": ";
+      if (r.es_best_j) {
+        precise << *r.es_best_j;
+      } else {
+        precise << "null";
+      }
       os << precise.str();
     }
     os << "}" << (i + 1 < rows.size() ? "," : "") << "\n";

@@ -57,7 +57,7 @@ struct EvalBenchOptions {
   /// Optional live allocation counter (global operator-new hook installed by
   /// the calling binary). When set, the benchmark reports the number of
   /// heap allocations per steady-state Simulator::run(); when null the
-  /// field is reported as -1 (not measured).
+  /// report says "alloc_probe": "unavailable" and omits the count.
   std::uint64_t (*alloc_count)() = nullptr;
 };
 
@@ -115,10 +115,10 @@ struct EvalBenchRow {
   std::uint64_t bnb_node_budget = 0;
   bool bnb_complete = false;           ///< Tree exhausted within the budget.
   double bnb_best_j = 0.0;             ///< Best CWM cost found.
-  /// Serial exhaustive optimum for the same objective; -1 when the space
-  /// was too large to enumerate. When present and bnb_complete, it must
-  /// equal bnb_best_j bitwise (CI enforces it).
-  double es_best_j = -1.0;
+  /// Serial exhaustive optimum for the same objective; empty (JSON null)
+  /// when the space was too large to enumerate. When present and
+  /// bnb_complete, it must equal bnb_best_j bitwise (CI enforces it).
+  std::optional<double> es_best_j;
 
   double cwm_delta_speedup() const {
     return cwm_legacy_per_s > 0 ? cwm_delta_per_s / cwm_legacy_per_s : 0.0;
@@ -166,7 +166,7 @@ struct EvalBenchReport {
   /// reports ~1.0).
   std::uint32_t host_threads = 0;
 
-  /// Pretty-printed JSON document ({"bench": "eval_engine", "schema": 6,
+  /// Pretty-printed JSON document ({"bench": "eval_engine", "schema": 7,
   /// "rows": [...]}).
   std::string to_json() const;
 };

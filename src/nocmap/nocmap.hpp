@@ -51,6 +51,7 @@
 #include "nocmap/sim/schedule.hpp"
 #include "nocmap/sim/simulator.hpp"
 #include "nocmap/sim/timeline.hpp"
+#include "nocmap/util/parallel.hpp"
 #include "nocmap/util/rng.hpp"
 #include "nocmap/util/strings.hpp"
 #include "nocmap/util/table.hpp"

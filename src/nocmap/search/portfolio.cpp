@@ -8,8 +8,9 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <thread>
 #include <utility>
+
+#include "nocmap/util/parallel.hpp"
 
 namespace nocmap::search {
 
@@ -221,25 +222,9 @@ PortfolioResult portfolio(const BnbCostFactory& make_cost,
     }
   };
 
-  const std::uint32_t workers =
-      std::min(std::max<std::uint32_t>(1, options.threads), num_members);
-  if (workers <= 1) {
-    for (std::uint32_t i = 0; i < num_members; ++i) run_member(i);
-  } else {
-    std::atomic<std::uint32_t> next{0};
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (std::uint32_t w = 0; w < workers; ++w) {
-      pool.emplace_back([&] {
-        for (;;) {
-          const std::uint32_t i = next.fetch_add(1);
-          if (i >= num_members) return;
-          run_member(i);
-        }
-      });
-    }
-    for (std::thread& t : pool) t.join();
-  }
+  util::parallel_for_index(options.threads, num_members, [&](std::size_t i) {
+    run_member(static_cast<std::uint32_t>(i));
+  });
 
   // --- Deterministic reduction: lowest cost, ties by member index ----------
   std::size_t winner = 0;

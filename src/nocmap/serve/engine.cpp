@@ -1,13 +1,13 @@
 #include "nocmap/serve/engine.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <sstream>
 #include <stdexcept>
-#include <thread>
 #include <unordered_map>
 #include <utility>
+
+#include "nocmap/util/parallel.hpp"
 
 namespace nocmap::serve {
 
@@ -200,26 +200,8 @@ std::vector<MapResponse> ServeEngine::serve(
   }
 
   // --- Phase 3: solve unique jobs on the worker pool -----------------------
-  const std::uint32_t workers = std::min<std::uint32_t>(
-      std::max<std::uint32_t>(1, options_.threads),
-      static_cast<std::uint32_t>(std::max<std::size_t>(1, jobs.size())));
-  if (workers <= 1 || jobs.size() <= 1) {
-    for (Job& job : jobs) solve_job(job);
-  } else {
-    std::atomic<std::size_t> next{0};
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (std::uint32_t w = 0; w < workers; ++w) {
-      pool.emplace_back([&] {
-        for (;;) {
-          const std::size_t j = next.fetch_add(1);
-          if (j >= jobs.size()) return;
-          solve_job(jobs[j]);
-        }
-      });
-    }
-    for (std::thread& t : pool) t.join();
-  }
+  util::parallel_for_index(options_.threads, jobs.size(),
+                           [&](std::size_t j) { solve_job(jobs[j]); });
 
   // --- Phase 4: publish, sequentially in request order ---------------------
   std::vector<MapResponse> responses(n);

@@ -10,6 +10,10 @@
 ///   nocmap sweep        repeat explore over a seed range and aggregate
 ///   nocmap serve-bench  load-test the caching/warm-start serving engine
 ///
+/// Each verb and mode declares its flags in one table (see "Flag tables"):
+/// the parse loop, the prerequisite check and the --help text all read the
+/// same entries, so a verb accepts exactly the flags it reads.
+///
 /// Every subcommand renders through util::TextTable and switches to CSV with
 /// --csv, so results pipe straight into plotting scripts. Exit codes: 0 on
 /// success, 1 on a runtime failure, 2 on a usage error.
@@ -20,16 +24,15 @@
 #include <cstdlib>
 #include <exception>
 #include <fstream>
-#include <functional>
+#include <initializer_list>
 #include <iostream>
 #include <limits>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
-#include <thread>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -93,8 +96,9 @@ Subcommands:
               (Equation 10) objectives and compare both mappings with the
               ground-truth wormhole simulator (ETR / ECS).
   bench       Run the paper's 18-application Table-1 suite and print
-              Table-2-style ETR/ECS rows.
-  workloads   List the built-in workloads (Table-1 statistics).
+              Table-2-style ETR/ECS rows; `bench --perf` and `bench --scale`
+              run the evaluation-engine and portfolio benchmarks instead.
+  workloads   List, convert, generate and validate workloads.
   sweep       Repeat explore over a range of seeds and aggregate.
   serve-bench Replay a randomized request stream (with controllable
               duplicate / near-duplicate ratios) through the canonical-form
@@ -114,92 +118,46 @@ constexpr const char* kExploreUsage =
 Optimize one workload under both application models and report the
 execution-time reduction (ETR) and energy-consumption saving (ECS) of the
 timing-aware CDCM mapping over the volume-only CWM mapping.
+)";
 
-Options:
-  --workload NAME   Workload to map (default: paper-example). NAME is
-                    "paper-example", any `nocmap workloads` suite name
-                    (e.g. romberg-v1, random-big-2), "random" to generate
-                    a fresh random CDCG (see --cores/--packets/--bits), or
-                    a workload source: file:PATH (.json/.csv/.tgff) or
-                    gen:SPEC, with a '#NAME' or '#INDEX' fragment to pick
-                    one application from a multi-workload source (see
-                    `nocmap workloads --help` and docs/workloads.md).
-  --mesh WxH        Mesh size, e.g. 4x4 (default: the workload's own size;
-                    2x2 for paper-example).
-  --tech NAME       Technology preset: example | 0.35u | 0.07u
-                    (default: example for paper-example, 0.07u otherwise).
-  --method NAME     Search method: auto | sa | es | bnb | portfolio
-                    (default: auto — ES when the symmetry-pruned space is
-                    small, SA otherwise). bnb is exact branch and bound:
-                    admissible lower-bound pruning with a greedy+SA-seeded
-                    incumbent; past --bnb-nodes it falls back to the
-                    incumbent (reported as BB/SA). portfolio races SA chains
-                    across cooling schedules and move sets (pairwise swaps
-                    and the large-neighbourhood catalogue) plus a budgeted
-                    B&B member, greedy-seeded, deterministic for any
-                    --threads. See docs/search.md.
-  --search NAME     Alias for --method.
-  --time-budget MS  Wall-clock budget per SA chain / portfolio member in
-                    milliseconds, honored at temperature-step boundaries
-                    (the cut is recorded as a move-count checkpoint, so the
-                    result stays reproducible). Default: none.
-  --bnb-nodes N     bnb: node budget (lower-bound tests) before falling
-                    back to SA quality (default: 20,000,000). Completed
-                    searches are byte-identical for any --threads;
-                    budget-truncated runs consume the budget in thread
-                    order and reproduce exactly only at --threads 1.
-  --topology NAME   NoC topology: mesh | torus | xmesh (default: mesh).
-                    torus adds wrap-around links on dimensions of size >= 3;
-                    xmesh adds express links every --express-interval tiles.
-  --express-interval N
-                    xmesh express-link spacing, k >= 2 (default: 2).
-  --routing NAME    Routing algorithm: xy | yx | west-first | odd-even
-                    (default: xy).
-  --seed N          RNG seed driving the SA runs (default: 1).
-  --threads N       Worker threads for the SA chains and for the batched
-                    CDCM exhaustive search (default: 1). Purely a
-                    throughput knob: results are identical for any N.
-  --chains N        Independent SA chains per model, best-of-N (default: 1).
-  --cost NAME       Timing-aware objective: cdcm (default, Equation 10) or
-                    hybrid (CWM-delta prefilter proposes, CDCM verifies at
-                    --hybrid-cadence and at every temperature step).
-  --hybrid-cadence N
-                    With --cost hybrid: verify every Nth priced move with
-                    an exact CDCM delta (default: 8; 1 = every move,
-                    0 = step resyncs only).
-  --ckpt-interval N Enable checkpointed incremental CDCM evaluation: move
-                    pricing restores the latest event-loop snapshot taken
-                    before the earliest instant the move can affect and
-                    replays only the suffix, bitwise-identical to a full
-                    resimulation. N is the snapshot cadence in event pops
-                    (0 = auto, scaled from the packet count). Ignored —
-                    with a full-resimulation fallback — for --backend flit.
-  --no-seed-cdcm    Do not seed the CDCM search with the CWM winner.
-  --cores N         (--workload random) number of cores (default: 8).
-  --packets N       (--workload random) number of packets (default: 32).
-  --bits N          (--workload random) total bit volume (default: 4096).
-  --backend NAME    Evaluation backend: link (whole-link claims, the paper's
-                    model, default) or flit (flit-accurate: finite input
-                    buffers, flow control, backpressure). See
-                    docs/simulation.md.
-  --buffer-depth N  (--backend flit) input-buffer flits per router port
-                    (default: 8).
-  --flow-control NAME
-                    (--backend flit) credit | onoff (default: credit).
-  --switching NAME  (--backend flit) wormhole | vct (default: wormhole;
-                    vct needs --buffer-depth >= the largest packet).
-  --seed-mapping FILE
-                    Warm-start the search from the mapping in FILE:
-                    whitespace- or comma-separated tile ids (# starts a
-                    line comment), one per core
-                    (core i starts on the i-th tile listed). The ids must
-                    be distinct, in range, and exactly one per application
-                    core — anything else is rejected. Every method except
-                    es is seeded (es enumerates everything); compare()
-                    still reseeds the CDCM half with the CWM winner unless
-                    --no-seed-cdcm.
-  --csv             Emit CSV instead of aligned text tables.
-  -h, --help        Show this message.
+constexpr const char* kSweepUsage =
+    R"(Usage: nocmap sweep [options]
+
+Run `explore` once per (topology, routing, seed) combination and aggregate
+the ETR/ECS spread — the cheap way to separate model effects from search
+noise, and the way to compare topologies on equal footing. With one
+topology, one routing and a single-application workload the historical
+per-seed table is printed; otherwise one row per (topology, routing,
+application, seed) plus per-combination aggregates.
+)";
+
+constexpr const char* kBenchUsage =
+    R"(Usage: nocmap bench [--perf | --scale] [options]
+
+Run the full Table-1 suite (or one NoC size of it) through the Explorer and
+print one ETR/ECS row per application — the reproduction of Table 2. Two
+modes run a benchmark instead, each with its own options:
+
+  --perf    the evaluation-engine microbenchmark (`nocmap bench --perf --help`)
+  --scale   the paper-scale portfolio benchmark (`nocmap bench --scale --help`)
+)";
+
+constexpr const char* kBenchPerfUsage =
+    R"(Usage: nocmap bench --perf [options]
+
+Measure the evaluation engine (CWM full vs delta, the CDCM ladder: one-shot /
+arena / swap-delta / checkpointed / batch x threads / hybrid, and a
+branch-and-bound row) on a ladder of grid sizes and write the JSON report
+(docs/bench-format.md). Quick budgets: this doubles as the CI smoke step;
+the full-budget run is the bench_cost_eval binary.
+)";
+
+constexpr const char* kBenchScaleUsage =
+    R"(Usage: nocmap bench --scale [options]
+
+Race the search portfolio on the paper's large boards and write the anytime
+best-cost-vs-moves curves as JSON (docs/bench-format.md). Every reported
+column except wall_ms is identical for any --threads.
 )";
 
 constexpr const char* kServeBenchUsage =
@@ -211,107 +169,12 @@ mix of exact duplicates (relabeled cores) and near-duplicates (relabeled +
 payload-perturbed), replay it in batches through the canonical-form result
 cache with warm-started search, and report latency percentiles, throughput,
 cache hit rates and the warm-start speedup. The JSON report is written to
---out (default BENCH_serve.json; schema in docs/serving.md).
+--out (schema in docs/serving.md).
 
 All report fields except wall-clock timings are deterministic in the
 options: `results_digest` is byte-identical for any --threads, and — when
 every request is unique or the cache is empty — identical between
 --bypass-cache and the default cold path.
-
-Options:
-  --population SPEC Synthetic population supplying fresh applications
-                    (workload gen: grammar, e.g. "apps=64,cores=8,seed=7";
-                    default exactly that). Cores must fit the mesh.
-  --requests N      Stream length (default: 1000).
-  --dup-ratio X     Fraction of requests that are relabeled duplicates of
-                    earlier ones (default: 0.35).
-  --near-ratio X    Fraction that are relabeled + payload-perturbed
-                    near-duplicates (default: 0.25). dup + near <= 1.
-  --mesh WxH        Target NoC size (default: 3x3).
-  --batch N         Requests per serving batch (default: 16).
-  --threads N       Worker threads solving a batch's unique jobs
-                    (default: 1). Purely a throughput knob.
-  --seed N          Stream-synthesis and search seed (default: 1).
-  --objective NAME  cwm | cdcm (default: cwm — the cheap objective keeps
-                    the 1000-request replay fast; cdcm load-tests the
-                    full wormhole-simulation path).
-  --method NAME     auto | sa | bnb | portfolio (default: sa). es is
-                    rejected: exhaustive search ignores warm starts.
-  --ckpt-interval N Checkpointed incremental CDCM evaluation for the solve
-                    paths (0 = auto cadence); results are bitwise-identical
-                    either way, so cache entries stay interchangeable.
-  --cache-capacity N
-                    LRU capacity in cached results (default: 4096).
-  --bypass-cache    Solve every request cold; the cache is neither read
-                    nor written (the byte-identity baseline the CI leg
-                    diffs against).
-  --out PATH        Report path (default: BENCH_serve.json).
-  --csv             Emit the summary table as CSV.
-  -h, --help        Show this message.
-)";
-
-constexpr const char* kBenchUsage =
-    R"(Usage: nocmap bench [options]
-
-Run the full Table-1 suite (or one NoC size of it) through the Explorer and
-print one ETR/ECS row per application — the reproduction of Table 2. With
---perf, run the evaluation-engine microbenchmark instead and write its JSON
-report.
-
-Options:
-  --noc WxH         Only the applications of one NoC size (e.g. 3x2, 10x10).
-  --tech NAME       Technology preset: example | 0.35u | 0.07u
-                    (default: 0.07u).
-  --method NAME     Search method: auto | sa | es | bnb (default: auto).
-  --search NAME     Alias for --method.
-  --bnb-nodes N     bnb node budget; also the budget of the --perf bnb
-                    rows (default: 20,000,000; --perf default: 100,000).
-  --topology NAME   NoC topology: mesh | torus | xmesh (default: mesh); each
-                    application keeps its Table-1 grid size.
-  --express-interval N
-                    xmesh express-link spacing, k >= 2 (default: 2).
-  --routing NAME    Routing algorithm: xy | yx | west-first | odd-even
-                    (default: xy).
-  --seed N          RNG seed driving the SA runs (default: 1).
-  --threads N       Worker threads: applications are explored in parallel
-                    (default: 1). The printed table is identical for any N.
-  --chains N        Independent SA chains per model, best-of-N (default: 1).
-  --cost NAME       Timing-aware objective: cdcm (default) or hybrid.
-  --hybrid-cadence N
-                    With --cost hybrid: CDCM verification cadence
-                    (default: 8).
-  --ckpt-interval N Checkpointed incremental CDCM evaluation as in
-                    `nocmap explore` (0 = auto cadence). --perf/--scale
-                    honour it for their checkpointed rows/members.
-  --backend NAME    Evaluation backend: link (default) | flit; flit adds
-                    --buffer-depth / --flow-control / --switching as in
-                    `nocmap explore`.
-  --buffer-depth N  (--backend flit) input-buffer flits per port (default 8).
-  --flow-control NAME
-                    (--backend flit) credit | onoff (default: credit).
-  --switching NAME  (--backend flit) wormhole | vct (default: wormhole).
-  --perf            Run the evaluation-engine microbenchmark (CWM full vs
-                    delta, the CDCM ladder: one-shot / arena / swap-delta /
-                    batch x threads / hybrid) and write the JSON report
-                    instead of the suite. Honours --topology and
-                    --express-interval; --threads sets the batch row's T.
-  --scale           Run the paper-scale portfolio benchmark instead: anytime
-                    best-cost-vs-moves curves for the large Table-1 boards
-                    (default sizes 8x8, 10x10, 12x10), written as
-                    BENCH_scale.json. Honours --sizes, --seed, --threads,
-                    --bnb-nodes and --time-budget; every reported column
-                    except wall_ms is identical for any --threads.
-  --workload SRC    --scale: bench a workload source instead of the default
-                    boards — suite, file:PATH or gen:SPEC (see
-                    `nocmap workloads --help`). Excludes --sizes.
-  --time-budget MS  --scale: per-member wall budget (see `explore --help`).
-  --sizes LIST      --perf/--scale grid sizes, comma-separated WxH
-                    (--perf default: 3x3,...,8x8,10x10,12x10;
-                    --scale default: 8x8,10x10,12x10).
-  --out FILE        --perf/--scale report path (default: BENCH_eval.json /
-                    BENCH_scale.json).
-  --csv             Emit CSV instead of aligned text tables.
-  -h, --help        Show this message.
 )";
 
 constexpr const char* kWorkloadsUsage =
@@ -331,243 +194,143 @@ These sources are also what `--workload` accepts in explore / sweep /
 bench --scale; explore needs a '#NAME' or '#INDEX' fragment to pick one
 application from a multi-workload source.
 
-Verbs:
+Verbs (`nocmap workloads VERB --help` lists the options of one):
   list [SRC]       List applications, statistics and the source provenance
                    (default verb; default source: the built-in suite).
-  import PATH [--out FILE]
-                   Read PATH (any supported format) and re-emit it
+  import PATH      Read PATH (any supported format) and re-emit it
                    canonically: JSON on stdout, or --out file.json/.csv.
-  export SRC --out FILE
-                   Materialize any source to a canonical .json/.csv file.
-  gen SPEC [--out FILE]
-                   Shorthand for `export gen:SPEC`; JSON on stdout
-                   without --out.
+  export SRC       Materialize any source as canonical JSON, or --out
+                   file.json/.csv.
+  gen SPEC         Shorthand for `export gen:SPEC`.
   validate SRC     Parse and validate, print one line per workload; exits
                    1 with a line/field diagnostic on the first error.
-
-Options:
-  --workload SRC    Alternative to the positional SRC.
-  --out FILE        Output file for import/export/gen (.json or .csv).
-  --csv             list: emit CSV instead of an aligned text table.
-  -h, --help        Show this message.
 )";
 
-constexpr const char* kSweepUsage =
-    R"(Usage: nocmap sweep [options]
+// --- Value readers -----------------------------------------------------------
+// A reader's message reads after the flag name ("expects ...", "must be
+// ..."): the parse loop prefixes the flag as the user spelled it.
 
-Run `explore` once per (topology, routing, seed) combination and aggregate
-the ETR/ECS spread — the cheap way to separate model effects from search
-noise, and the way to compare topologies on equal footing.
-
-Options:
-  --seeds N         Number of seeds to run (default: 5; 1 in suite mode).
-  --seed N          First seed (default: 1).
-  --workload NAME   As in explore, plus multi-application sources: "suite"
-                    runs the full 18-application Table-1 suite, file:PATH /
-                    gen:SPEC run every application the source holds (each
-                    on its own NoC size).
-  --noc WxH         With a multi-application source: only its applications
-                    of one NoC size (e.g. 3x2).
-  --topology LIST   Comma-separated topologies to sweep, e.g.
-                    mesh,torus,xmesh (default: mesh).
-  --routing LIST    Comma-separated routing algorithms, e.g. xy,odd-even
-                    (default: xy).
-  --threads N       Explore the sweep rows in parallel (default: 1); the
-                    emitted rows are identical for any N.
-  All other `nocmap explore` mesh/tech/method/chains/cost options apply,
-  including --backend flit with --buffer-depth/--flow-control/--switching.
-  With one topology, one routing and a non-suite workload the historical
-  per-seed table is printed; otherwise one row per (topology, routing,
-  application, seed) plus per-combination aggregates.
-  --csv             Emit CSV instead of aligned text tables.
-  -h, --help        Show this message.
-)";
-
-// --- Option parsing ----------------------------------------------------------
-
-std::uint64_t parse_u64(const std::string& flag, const std::string& value) {
-  // Digits only: std::stoull alone would wrap "-1" to UINT64_MAX.
+/// A decimal integer in [lo, hi], narrowed to T. Digits only: std::stoull
+/// alone would wrap "-1" to UINT64_MAX.
+template <class T = std::uint64_t>
+T parse_uint(const std::string& value, std::uint64_t lo = 0,
+             std::uint64_t hi = std::numeric_limits<T>::max()) {
   if (value.empty() ||
       value.find_first_not_of("0123456789") != std::string::npos) {
-    throw UsageError(flag + " expects a non-negative integer, got '" + value +
-                     "'");
+    throw UsageError("expects a non-negative integer, got '" + value + "'");
   }
   try {
-    return std::stoull(value);
-  } catch (const std::exception&) {
-    throw UsageError(flag + " value out of range: '" + value + "'");
+    const std::uint64_t v = std::stoull(value);
+    if (v >= lo && v <= hi) return static_cast<T>(v);
+  } catch (const std::out_of_range&) {
   }
+  throw UsageError("must be in [" + util::format_grouped(lo) + ", " +
+                   util::format_grouped(hi) + "], got '" + value + "'");
 }
 
 /// "4x4", "4X4" or "4 x 4" -> (4, 4).
-std::pair<std::uint32_t, std::uint32_t> parse_mesh(const std::string& flag,
-                                                   const std::string& value) {
+std::pair<std::uint32_t, std::uint32_t> parse_mesh(const std::string& value) {
   std::string s;
   for (char c : value) {
     if (c == ' ') continue;
     s.push_back(c == 'X' ? 'x' : c);
   }
-  std::size_t sep = s.find('x');
+  const std::size_t sep = s.find('x');
   if (sep == std::string::npos || sep == 0 || sep + 1 == s.size()) {
-    throw UsageError(flag + " expects WxH (e.g. 4x4), got '" + value + "'");
+    throw UsageError("expects WxH (e.g. 4x4), got '" + value + "'");
   }
-  auto w = parse_u64(flag, s.substr(0, sep));
-  auto h = parse_u64(flag, s.substr(sep + 1));
+  const std::uint64_t w = parse_uint(s.substr(0, sep));
+  const std::uint64_t h = parse_uint(s.substr(sep + 1));
   // Bound each dimension before any uint32 narrowing, and the tile count to
   // something a mapping search could conceivably handle.
   constexpr std::uint64_t kMaxTiles = 1'000'000;
   if (w > kMaxTiles || h > kMaxTiles || w * h > kMaxTiles) {
-    throw UsageError(flag + " mesh too large (at most 1,000,000 tiles), got '" +
+    throw UsageError("mesh too large (at most 1,000,000 tiles), got '" +
                      value + "'");
   }
   if (w == 0 || h == 0 || w * h < 2) {
-    throw UsageError(flag + " needs at least two tiles, got '" + value + "'");
+    throw UsageError("needs at least two tiles, got '" + value + "'");
   }
   return {static_cast<std::uint32_t>(w), static_cast<std::uint32_t>(h)};
 }
 
-energy::Technology parse_tech(const std::string& value) {
-  if (value == "example") return energy::example_technology();
-  if (value == "0.35u" || value == "0.35") return energy::technology_0_35u();
-  if (value == "0.07u" || value == "0.07") return energy::technology_0_07u();
-  throw UsageError("--tech expects example | 0.35u | 0.07u, got '" + value +
+/// "a,b,c" -> {"a", "b", "c"}; empty items are usage errors.
+std::vector<std::string> split_list(const std::string& value) {
+  std::vector<std::string> items;
+  std::string item;
+  std::istringstream is(value);
+  while (std::getline(is, item, ',')) {
+    if (item.empty()) throw UsageError("has an empty list item");
+    items.push_back(item);
+  }
+  if (items.empty()) throw UsageError("expects a value");
+  return items;
+}
+
+/// "3x3,8x8" appended to `sizes`.
+void append_sizes(std::vector<std::pair<std::uint32_t, std::uint32_t>>& sizes,
+                  const std::string& value) {
+  for (const std::string& item : split_list(value)) {
+    sizes.push_back(parse_mesh(item));
+  }
+}
+
+/// `value` looked up among `names`, aliases included; the error lists
+/// `expected`, the canonical spellings.
+template <class T>
+T pick(const std::string& value, const char* expected,
+       std::initializer_list<std::pair<const char*, T>> names) {
+  for (const auto& [name, result] : names) {
+    if (value == name) return result;
+  }
+  throw UsageError(std::string("expects ") + expected + ", got '" + value +
                    "'");
 }
 
 core::SearchMethod parse_method(const std::string& value) {
-  if (value == "auto") return core::SearchMethod::kAuto;
-  if (value == "sa") return core::SearchMethod::kSimulatedAnnealing;
-  if (value == "es") return core::SearchMethod::kExhaustive;
-  if (value == "bnb") return core::SearchMethod::kBranchAndBound;
-  if (value == "portfolio" || value == "pf") {
-    return core::SearchMethod::kPortfolio;
-  }
-  throw UsageError("--method expects auto | sa | es | bnb | portfolio, got '" +
-                   value + "'");
+  using M = core::SearchMethod;
+  return pick<M>(value, "auto | sa | es | bnb | portfolio",
+                 {{"auto", M::kAuto},
+                  {"sa", M::kSimulatedAnnealing},
+                  {"es", M::kExhaustive},
+                  {"bnb", M::kBranchAndBound},
+                  {"portfolio", M::kPortfolio},
+                  {"pf", M::kPortfolio}});
 }
 
-sim::SimBackend parse_backend(const std::string& value) {
-  if (value == "link" || value == "link-claim") {
-    return sim::SimBackend::kLinkClaim;
+std::string parse_topology(const std::string& value) {
+  const auto& known = noc::topology_kinds();
+  if (std::find(known.begin(), known.end(), value) == known.end()) {
+    throw UsageError("expects mesh | torus | xmesh, got '" + value + "'");
   }
-  if (value == "flit") return sim::SimBackend::kFlit;
-  throw UsageError("--backend expects link | flit, got '" + value + "'");
-}
-
-sim::FlowControl parse_flow_control(const std::string& value) {
-  if (value == "credit") return sim::FlowControl::kCredit;
-  if (value == "onoff" || value == "on-off") return sim::FlowControl::kOnOff;
-  throw UsageError("--flow-control expects credit | onoff, got '" + value +
-                   "'");
-}
-
-sim::Switching parse_switching(const std::string& value) {
-  if (value == "wormhole") return sim::Switching::kWormhole;
-  if (value == "vct" || value == "virtual-cut-through") {
-    return sim::Switching::kVirtualCutThrough;
-  }
-  throw UsageError("--switching expects wormhole | vct, got '" + value + "'");
+  return value;
 }
 
 noc::RoutingAlgorithm parse_routing(const std::string& value) {
   try {
     return noc::routing_algorithm_from_name(value);
   } catch (const std::invalid_argument&) {
-    throw UsageError("--routing expects xy | yx | west-first | odd-even, got '" +
+    throw UsageError("expects xy | yx | west-first | odd-even, got '" +
                      value + "'");
   }
 }
 
-/// "a,b,c" -> {"a", "b", "c"}; empty items are usage errors.
-std::vector<std::string> split_list(const std::string& flag,
-                                    const std::string& value) {
-  std::vector<std::string> items;
-  std::string item;
-  std::istringstream is(value);
-  while (std::getline(is, item, ',')) {
-    if (item.empty()) throw UsageError(flag + ": empty list item");
-    items.push_back(item);
+double parse_ratio(const std::string& value) {
+  try {
+    std::size_t pos = 0;
+    const double v = std::stod(value, &pos);
+    if (pos == value.size() && v >= 0.0 && v <= 1.0) return v;
+  } catch (const std::exception&) {
   }
-  if (items.empty()) throw UsageError(flag + " expects a value");
-  return items;
+  throw UsageError("expects a fraction in [0, 1], got '" + value + "'");
 }
 
-std::vector<std::string> parse_topologies(const std::string& value) {
-  std::vector<std::string> kinds = split_list("--topology", value);
-  for (const std::string& kind : kinds) {
-    const auto& known = noc::topology_kinds();
-    if (std::find(known.begin(), known.end(), kind) == known.end()) {
-      throw UsageError("--topology expects mesh | torus | xmesh, got '" +
-                       kind + "'");
-    }
-  }
-  return kinds;
-}
-
-std::vector<noc::RoutingAlgorithm> parse_routings(const std::string& value) {
-  std::vector<noc::RoutingAlgorithm> algos;
-  for (const std::string& name : split_list("--routing", value)) {
-    algos.push_back(parse_routing(name));
-  }
-  return algos;
-}
-
-/// Options shared by explore / bench / sweep.
-struct RunOptions {
-  std::string workload = "paper-example";
-  bool workload_set = false;  ///< --workload was given explicitly.
-  std::optional<std::pair<std::uint32_t, std::uint32_t>> mesh;
-  std::optional<energy::Technology> tech;
-  core::SearchMethod method = core::SearchMethod::kAuto;
-  std::uint64_t bnb_nodes = 0;  ///< 0 = the engine's default budget.
-  /// Sweep accepts comma-separated lists; every other subcommand requires a
-  /// single entry (enforced by require_single_noc()).
-  std::vector<std::string> topologies = {"mesh"};
-  std::vector<noc::RoutingAlgorithm> routings = {noc::RoutingAlgorithm::kXY};
-  std::uint64_t express_interval = 2;
-  std::uint64_t seed = 1;
-  bool seed_cdcm_with_cwm = true;
-  std::uint64_t random_cores = 8;
-  std::uint64_t random_packets = 32;
-  std::uint64_t random_bits = 4096;
-  std::uint64_t threads = 1;
-  std::uint64_t chains = 1;
-  core::TimingCostMode timing_cost = core::TimingCostMode::kCdcm;
-  std::uint64_t hybrid_cadence = 8;
-  /// --ckpt-interval: presence enables checkpointed incremental CDCM
-  /// evaluation; the value is the snapshot cadence in pops (0 = auto).
-  bool checkpoints = false;
-  std::uint64_t ckpt_interval = 0;
-  sim::SimBackend sim_backend = sim::SimBackend::kLinkClaim;
-  std::uint64_t buffer_depth = 8;
-  sim::FlowControl flow_control = sim::FlowControl::kCredit;
-  sim::Switching switching = sim::Switching::kWormhole;
-  /// Track explicit use of the flit-only knobs so --buffer-depth & co.
-  /// without --backend flit can be rejected instead of silently ignored.
-  bool flit_knob_set = false;
-  /// bench --perf / --scale only: explicit grid sizes.
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> perf_sizes;
-  std::optional<std::string> noc_filter;  // bench only
-  bool perf = false;                      // bench only
-  bool scale = false;                     // bench only
-  std::optional<std::string> out_path;    // bench --perf/--scale only
-  /// explore/sweep/bench --scale: per-chain / per-member wall budget in ms
-  /// (0 = none). Honored at temperature-step boundaries only, so any cut is
-  /// reproducible from the recorded move-count checkpoint.
-  std::uint64_t time_budget_ms = 0;
-  std::uint64_t num_seeds = 5;            // sweep only
-  bool seeds_set = false;                 // sweep only
-  /// explore only: warm-start mapping file (--seed-mapping).
-  std::optional<std::string> seed_mapping_path;
-  bool csv = false;
-};
-
-/// Parse a --seed-mapping file: whitespace- or comma-separated tile ids,
-/// one per core. Count/range/injectivity are validated by the Explorer,
-/// which knows the application and topology.
+/// A --seed-mapping file: whitespace- or comma-separated tile ids, one per
+/// core. Count/range/injectivity are validated by the Explorer, which knows
+/// the application and topology.
 std::vector<noc::TileId> load_seed_mapping(const std::string& path) {
   std::ifstream in(path);
-  if (!in) throw UsageError("--seed-mapping: cannot read '" + path + "'");
+  if (!in) throw UsageError("cannot read '" + path + "'");
   std::vector<noc::TileId> tiles;
   std::string line;
   while (std::getline(in, line)) {
@@ -579,172 +342,616 @@ std::vector<noc::TileId> load_seed_mapping(const std::string& path) {
       std::istringstream ts(token);
       std::string item;
       while (std::getline(ts, item, ',')) {
-        if (item.empty()) continue;
-        const std::uint64_t v = parse_u64("--seed-mapping", item);
-        if (v > std::numeric_limits<noc::TileId>::max()) {
-          throw UsageError("--seed-mapping: tile id " + item +
-                           " out of range");
-        }
-        tiles.push_back(static_cast<noc::TileId>(v));
+        if (!item.empty()) tiles.push_back(parse_uint<noc::TileId>(item));
       }
     }
   }
-  if (tiles.empty()) {
-    throw UsageError("--seed-mapping: '" + path + "' contains no tile ids");
-  }
+  if (tiles.empty()) throw UsageError("'" + path + "' holds no tile ids");
   return tiles;
 }
 
-/// Parse argv[2..] for a subcommand. `usage` is printed for -h/--help;
-/// `allowed` is the set of flags this subcommand actually consumes — anything
-/// else is a usage error rather than a silently ignored no-op.
-RunOptions parse_run_options(int argc, char** argv, const char* usage,
-                             const std::vector<std::string>& allowed) {
-  RunOptions opts;
-  auto value = [&](int& i, const std::string& flag) -> std::string {
-    if (i + 1 >= argc) throw UsageError(flag + " expects a value");
-    return argv[++i];
-  };
-  for (int i = 2; i < argc; ++i) {
-    std::string a = argv[i];
+// --- Flag tables -------------------------------------------------------------
+// A verb or mode accepts exactly the entries of its table. An entry holds a
+// flag's spelling, value name, help paragraph, setter and prerequisite; the
+// parse loop, the prerequisite check and --help all read it.
+
+constexpr unsigned kAllVerbs = ~0u;
+
+/// A flag's value as its setter receives it ("" for a switch).
+using Value = const std::string&;
+
+template <class Args>
+struct Flag {
+  const char* name;        ///< "--mesh".
+  const char* value_name;  ///< "WxH" in --help; "" for a switch.
+  const char* help;        ///< One paragraph; print_option() wraps it.
+  void (*set)(Args&, Value);
+  unsigned verbs = kAllVerbs;   ///< The verbs of a shared table taking it.
+  const char* needs = nullptr;  ///< Prerequisite, e.g. "--backend flit",
+  bool (*needs_met)(const Args&) = nullptr;  ///< tested after parsing.
+  const char* alias = nullptr;  ///< A second spelling.
+};
+
+/// One verb or mode: the entries of `table` whose verbs include `verb`.
+template <class Args>
+struct Command {
+  std::string name;     ///< As messages spell it: "bench --perf".
+  const char* summary;  ///< The hand-written head of its --help.
+  const std::vector<Flag<Args>>& table;
+  unsigned verb = kAllVerbs;
+};
+
+template <class Args>
+Flag<Args> csv_flag(unsigned verbs = kAllVerbs) {
+  return {"--csv", "", "Emit CSV instead of aligned text tables.",
+          [](Args& a, Value) { a.csv = true; }, verbs};
+}
+
+/// "  LABEL" padded to column 20, then `help` word-wrapped at 78 columns.
+void print_option(const std::string& label, const std::string& help) {
+  constexpr std::size_t kColumn = 20;
+  constexpr std::size_t kWidth = 78;
+  std::string line = "  " + label;
+  if (line.size() >= kColumn) {
+    std::cout << line << "\n";
+    line.clear();
+  }
+  line.resize(kColumn, ' ');
+  std::istringstream words(help);
+  for (std::string word; words >> word;) {
+    if (line.size() > kColumn && line.size() + 1 + word.size() > kWidth) {
+      std::cout << line << "\n";
+      line.assign(kColumn, ' ');
+    }
+    if (line.size() > kColumn) line += ' ';
+    line += word;
+  }
+  std::cout << line << "\n";
+}
+
+template <class Args>
+void print_help(const Command<Args>& cmd) {
+  std::cout << cmd.summary << "\nOptions of `nocmap " << cmd.name << "`:\n";
+  for (const Flag<Args>& f : cmd.table) {
+    if (!(f.verbs & cmd.verb)) continue;
+    std::string label = f.name;
+    if (f.alias) label = label + ", " + f.alias;
+    if (*f.value_name) label = label + " " + f.value_name;
+    std::string help = f.help;
+    if (f.needs) help = help + " Requires " + f.needs + ".";
+    print_option(label, help);
+  }
+  print_option("-h, --help", "Show this message.");
+}
+
+/// Parse argv[first..] against `cmd` into `args`. A non-flag argument goes
+/// to `positional` when the verb takes one and is a usage error otherwise,
+/// like any flag outside the table. -h/--help prints the help and exits 0.
+template <class Args>
+Args parse_flags(const Command<Args>& cmd, int argc, char** argv, int first,
+                 Args args = Args(),
+                 std::vector<std::string>* positional = nullptr) {
+  std::vector<const Flag<Args>*> given;
+  for (int i = first; i < argc; ++i) {
+    const std::string a = argv[i];
     if (a == "-h" || a == "--help") {
-      std::cout << usage;
+      print_help(cmd);
       std::exit(0);
     }
-    if (a != "--csv" &&
-        std::find(allowed.begin(), allowed.end(), a) == allowed.end()) {
-      std::string hint = "option '" + a + "' is not valid for `nocmap " +
-                         std::string(argv[1]) + "`";
-      throw UsageError(hint);
+    const auto flag = std::find_if(
+        cmd.table.begin(), cmd.table.end(), [&](const Flag<Args>& f) {
+          return (f.verbs & cmd.verb) &&
+                 (a == f.name || (f.alias && a == f.alias));
+        });
+    if (flag == cmd.table.end()) {
+      if (positional && (a.empty() || a[0] != '-')) {
+        positional->push_back(a);
+        continue;
+      }
+      throw UsageError("option '" + a + "' is not valid for `nocmap " +
+                       cmd.name + "` (`nocmap " + cmd.name +
+                       " --help` lists its options)");
     }
-    if (a == "--workload") {
-      opts.workload = value(i, a);
-      opts.workload_set = true;
-    } else if (a == "--mesh") {
-      opts.mesh = parse_mesh(a, value(i, a));
-    } else if (a == "--tech") {
-      opts.tech = parse_tech(value(i, a));
-    } else if (a == "--method" || a == "--search") {
-      opts.method = parse_method(value(i, a));
-    } else if (a == "--bnb-nodes") {
-      opts.bnb_nodes = parse_u64(a, value(i, a));
-      if (opts.bnb_nodes == 0) throw UsageError("--bnb-nodes must be >= 1");
-    } else if (a == "--topology") {
-      opts.topologies = parse_topologies(value(i, a));
-    } else if (a == "--express-interval") {
-      opts.express_interval = parse_u64(a, value(i, a));
-      if (opts.express_interval < 2 || opts.express_interval > 1'000'000) {
-        throw UsageError("--express-interval must be in [2, 1,000,000]");
-      }
-    } else if (a == "--routing") {
-      opts.routings = parse_routings(value(i, a));
-    } else if (a == "--seed") {
-      opts.seed = parse_u64(a, value(i, a));
-    } else if (a == "--seeds") {
-      opts.num_seeds = parse_u64(a, value(i, a));
-      opts.seeds_set = true;
-      if (opts.num_seeds == 0) throw UsageError("--seeds must be >= 1");
-    } else if (a == "--no-seed-cdcm") {
-      opts.seed_cdcm_with_cwm = false;
-    } else if (a == "--cores") {
-      opts.random_cores = parse_u64(a, value(i, a));
-    } else if (a == "--packets") {
-      opts.random_packets = parse_u64(a, value(i, a));
-    } else if (a == "--bits") {
-      opts.random_bits = parse_u64(a, value(i, a));
-    } else if (a == "--threads") {
-      opts.threads = parse_u64(a, value(i, a));
-      if (opts.threads == 0 || opts.threads > 1024) {
-        throw UsageError("--threads must be in [1, 1024]");
-      }
-    } else if (a == "--chains") {
-      opts.chains = parse_u64(a, value(i, a));
-      if (opts.chains == 0 || opts.chains > 4096) {
-        throw UsageError("--chains must be in [1, 4096]");
-      }
-    } else if (a == "--cost") {
-      const std::string v = value(i, a);
-      if (v == "cdcm") {
-        opts.timing_cost = core::TimingCostMode::kCdcm;
-      } else if (v == "hybrid") {
-        opts.timing_cost = core::TimingCostMode::kHybrid;
-      } else {
-        throw UsageError("--cost expects cdcm | hybrid, got '" + v + "'");
-      }
-    } else if (a == "--hybrid-cadence") {
-      opts.hybrid_cadence = parse_u64(a, value(i, a));
-      if (opts.hybrid_cadence > 1'000'000) {
-        throw UsageError("--hybrid-cadence must be at most 1,000,000");
-      }
-    } else if (a == "--ckpt-interval") {
-      opts.checkpoints = true;
-      opts.ckpt_interval = parse_u64(a, value(i, a));
-      if (opts.ckpt_interval > 1'000'000'000) {
-        throw UsageError("--ckpt-interval must be at most 1,000,000,000");
-      }
-    } else if (a == "--backend") {
-      opts.sim_backend = parse_backend(value(i, a));
-    } else if (a == "--buffer-depth") {
-      opts.buffer_depth = parse_u64(a, value(i, a));
-      opts.flit_knob_set = true;
-      if (opts.buffer_depth == 0 || opts.buffer_depth > (1u << 20)) {
-        throw UsageError("--buffer-depth must be in [1, 1,048,576]");
-      }
-    } else if (a == "--flow-control") {
-      opts.flow_control = parse_flow_control(value(i, a));
-      opts.flit_knob_set = true;
-    } else if (a == "--switching") {
-      opts.switching = parse_switching(value(i, a));
-      opts.flit_knob_set = true;
-    } else if (a == "--sizes") {
-      for (const std::string& item : split_list(a, value(i, a))) {
-        opts.perf_sizes.push_back(parse_mesh(a, item));
-      }
-    } else if (a == "--perf") {
-      opts.perf = true;
-    } else if (a == "--scale") {
-      opts.scale = true;
-    } else if (a == "--time-budget") {
-      opts.time_budget_ms = parse_u64(a, value(i, a));
-      if (opts.time_budget_ms == 0 || opts.time_budget_ms > 86'400'000) {
-        throw UsageError("--time-budget expects milliseconds in [1, 86,400,000]");
-      }
-    } else if (a == "--seed-mapping") {
-      opts.seed_mapping_path = value(i, a);
-    } else if (a == "--out") {
-      opts.out_path = value(i, a);
-    } else if (a == "--noc") {
-      auto wh = parse_mesh(a, value(i, a));
-      opts.noc_filter =
-          std::to_string(wh.first) + " x " + std::to_string(wh.second);
-    } else if (a == "--csv") {
-      opts.csv = true;
-    } else {
-      throw UsageError("unknown option '" + a + "'");
+    std::string value;
+    if (*flag->value_name) {
+      if (i + 1 >= argc) throw UsageError(a + " expects a value");
+      value = argv[++i];
+    }
+    try {
+      flag->set(args, value);
+    } catch (const UsageError& e) {
+      throw UsageError(a + " " + e.what());
+    }
+    given.push_back(&*flag);
+  }
+  for (const Flag<Args>* f : given) {
+    if (f->needs_met && !f->needs_met(args)) {
+      throw UsageError(std::string(f->name) + " requires " + f->needs);
     }
   }
-  if (opts.flit_knob_set && opts.sim_backend != sim::SimBackend::kFlit) {
-    throw UsageError(
-        "--buffer-depth/--flow-control/--switching require --backend flit");
-  }
-  return opts;
+  return args;
 }
+
+// --- explore / sweep / bench -------------------------------------------------
+
+/// The Explorer's options plus what only the CLI reads: the workload, its
+/// board, and the topologies and routings to build.
+struct RunArgs {
+  core::ExplorerOptions explorer;
+  std::string workload = "paper-example";
+  workload::RandomCdcgParams random;  ///< --workload random.
+  std::optional<std::pair<std::uint32_t, std::uint32_t>> mesh;
+  /// Default: example for paper-example, 0.07u otherwise.
+  std::optional<energy::Technology> tech;
+  /// sweep runs every entry; explore and bench take one (require_single_noc).
+  std::vector<std::string> topologies = {"mesh"};
+  std::vector<noc::RoutingAlgorithm> routings = {noc::RoutingAlgorithm::kXY};
+  noc::TopologyOptions topology_options;
+  std::optional<std::string> noc_filter;  ///< "W x H", as Table 1 labels it.
+  std::optional<std::uint64_t> seeds;     ///< sweep --seeds.
+  bool csv = false;
+};
+
+enum RunVerb : unsigned { kExplore = 1, kSweep = 2, kBench = 4 };
+
+bool random_workload(const RunArgs& a) { return a.workload == "random"; }
+bool hybrid_cost(const RunArgs& a) {
+  return a.explorer.timing_cost == core::TimingCostMode::kHybrid;
+}
+bool flit_backend(const RunArgs& a) {
+  return a.explorer.sim_backend == sim::SimBackend::kFlit;
+}
+bool xmesh_topology(const RunArgs& a) {
+  return std::count(a.topologies.begin(), a.topologies.end(), "xmesh") > 0;
+}
+
+const std::vector<Flag<RunArgs>> kRunFlags = {
+    {"--workload", "NAME",
+     "Workload to map (default: paper-example): \"paper-example\", any "
+     "`nocmap workloads` suite name (e.g. romberg-v1, random-big-2), "
+     "\"random\" for a fresh random CDCG (see --cores/--packets/--bits), or "
+     "a workload source: suite, file:PATH (.json/.csv/.tgff) or gen:SPEC "
+     "(see `nocmap workloads --help` and docs/workloads.md). explore picks "
+     "one application of a multi-workload source with a '#NAME' or "
+     "'#INDEX' fragment; sweep runs every application it holds, each on "
+     "its own NoC size.",
+     [](RunArgs& a, Value v) { a.workload = v; }, kExplore | kSweep},
+    {"--mesh", "WxH",
+     "Mesh size, e.g. 4x4 (default: the workload's own size; 2x2 for "
+     "paper-example).",
+     [](RunArgs& a, Value v) { a.mesh = parse_mesh(v); }, kExplore | kSweep},
+    {"--noc", "WxH",
+     "Only the applications of one NoC size (e.g. 3x2, 10x10): of the "
+     "Table-1 suite for bench, of a multi-application --workload source "
+     "for sweep.",
+     [](RunArgs& a, Value v) {
+       const auto [w, h] = parse_mesh(v);
+       a.noc_filter = std::to_string(w) + " x " + std::to_string(h);
+     },
+     kSweep | kBench},
+    {"--tech", "NAME",
+     "Technology preset: example | 0.35u | 0.07u (default: example for "
+     "paper-example, 0.07u otherwise).",
+     [](RunArgs& a, Value v) {
+       a.tech = pick<energy::Technology>(
+           v, "example | 0.35u | 0.07u",
+           {{"example", energy::example_technology()},
+            {"0.35u", energy::technology_0_35u()},
+            {"0.35", energy::technology_0_35u()},
+            {"0.07u", energy::technology_0_07u()},
+            {"0.07", energy::technology_0_07u()}});
+     }},
+    {"--method", "NAME",
+     "Search method: auto | sa | es | bnb | portfolio (default: auto — ES "
+     "when the symmetry-pruned space is small, SA otherwise). bnb is exact "
+     "branch and bound: admissible lower-bound pruning with a "
+     "greedy+SA-seeded incumbent; past --bnb-nodes it falls back to the "
+     "incumbent (reported as BB/SA). portfolio races SA chains across "
+     "cooling schedules and move sets (pairwise swaps and the "
+     "large-neighbourhood catalogue) plus a budgeted B&B member, "
+     "greedy-seeded, deterministic for any --threads. See docs/search.md.",
+     [](RunArgs& a, Value v) { a.explorer.method = parse_method(v); },
+     kAllVerbs, nullptr, nullptr, "--search"},
+    {"--bnb-nodes", "N",
+     "bnb: node budget (lower-bound tests) before falling back to SA "
+     "quality (default: 20,000,000). Completed searches are byte-identical "
+     "for any --threads; budget-truncated runs consume the budget in "
+     "thread order and reproduce exactly only at --threads 1.",
+     [](RunArgs& a, Value v) { a.explorer.bnb.max_nodes = parse_uint(v, 1); }},
+    {"--time-budget", "MS",
+     "Wall-clock budget per SA chain / portfolio member in milliseconds, "
+     "honored at temperature-step boundaries (the cut is recorded as a "
+     "move-count checkpoint, so the result stays reproducible). Default: "
+     "none.",
+     [](RunArgs& a, Value v) {
+       a.explorer.time_budget_ms =
+           static_cast<double>(parse_uint(v, 1, 86'400'000));
+     }},
+    {"--topology", "NAME",
+     "NoC topology: mesh | torus | xmesh (default: mesh). torus adds "
+     "wrap-around links on dimensions of size >= 3; xmesh adds express "
+     "links every --express-interval tiles. sweep takes a comma-separated "
+     "list.",
+     [](RunArgs& a, Value v) {
+       a.topologies.clear();
+       for (const std::string& kind : split_list(v)) {
+         a.topologies.push_back(parse_topology(kind));
+       }
+     }},
+    {"--express-interval", "N",
+     "xmesh express-link spacing, k >= 2 (default: 2).",
+     [](RunArgs& a, Value v) {
+       a.topology_options.express_interval =
+           parse_uint<std::uint32_t>(v, 2, 1'000'000);
+     },
+     kAllVerbs, "--topology xmesh", xmesh_topology},
+    {"--routing", "NAME",
+     "Routing algorithm: xy | yx | west-first | odd-even (default: xy). "
+     "sweep takes a comma-separated list.",
+     [](RunArgs& a, Value v) {
+       a.routings.clear();
+       for (const std::string& name : split_list(v)) {
+         a.routings.push_back(parse_routing(name));
+       }
+       a.explorer.routing = a.routings.front();
+     }},
+    {"--seed", "N",
+     "RNG seed driving the SA runs and --workload random (default: 1); "
+     "sweep's first seed.",
+     [](RunArgs& a, Value v) { a.explorer.seed = parse_uint(v); }},
+    {"--seeds", "N",
+     "Number of seeds to run (default: 5; 1 for a multi-application "
+     "source).",
+     [](RunArgs& a, Value v) { a.seeds = parse_uint(v, 1); }, kSweep},
+    {"--threads", "N",
+     "Worker threads (default: 1): explore runs its SA chains and the "
+     "batched CDCM exhaustive search on them, bench and sweep explore "
+     "applications / rows in parallel. Purely a throughput knob: the "
+     "output is identical for any N.",
+     [](RunArgs& a, Value v) {
+       a.explorer.threads = parse_uint<std::uint32_t>(v, 1, 1024);
+     }},
+    {"--chains", "N",
+     "Independent SA chains per model, best-of-N (default: 1).",
+     [](RunArgs& a, Value v) {
+       a.explorer.sa_chains = parse_uint<std::uint32_t>(v, 1, 4096);
+     }},
+    {"--cost", "NAME",
+     "Timing-aware objective: cdcm (default, Equation 10) or hybrid "
+     "(CWM-delta prefilter proposes, CDCM verifies at --hybrid-cadence and "
+     "at every temperature step).",
+     [](RunArgs& a, Value v) {
+       using C = core::TimingCostMode;
+       a.explorer.timing_cost = pick<C>(
+           v, "cdcm | hybrid", {{"cdcm", C::kCdcm}, {"hybrid", C::kHybrid}});
+     }},
+    {"--hybrid-cadence", "N",
+     "Verify every Nth priced move with an exact CDCM delta (default: 8; "
+     "1 = every move, 0 = step resyncs only).",
+     [](RunArgs& a, Value v) {
+       a.explorer.hybrid_cadence = parse_uint<std::uint32_t>(v, 0, 1'000'000);
+     },
+     kAllVerbs, "--cost hybrid", hybrid_cost},
+    {"--ckpt-interval", "N",
+     "Enable checkpointed incremental CDCM evaluation: move pricing "
+     "restores the latest event-loop snapshot taken before the earliest "
+     "instant the move can affect and replays only the suffix, "
+     "bitwise-identical to a full resimulation. N is the snapshot cadence "
+     "in event pops (0 = auto, scaled from the packet count). Ignored — "
+     "with a full-resimulation fallback — for --backend flit.",
+     [](RunArgs& a, Value v) {
+       a.explorer.cdcm_checkpoints = true;
+       a.explorer.ckpt_interval =
+           parse_uint<std::uint32_t>(v, 0, 1'000'000'000);
+     }},
+    {"--no-seed-cdcm", "", "Do not seed the CDCM search with the CWM winner.",
+     [](RunArgs& a, Value) { a.explorer.seed_cdcm_with_cwm = false; },
+     kExplore | kSweep},
+    {"--cores", "N", "Cores of the random CDCG (default: 8).",
+     [](RunArgs& a, Value v) {
+       a.random.num_cores = parse_uint<std::uint32_t>(v, 0, 1'000'000);
+     },
+     kExplore | kSweep, "--workload random", random_workload},
+    {"--packets", "N", "Packets of the random CDCG (default: 32).",
+     [](RunArgs& a, Value v) {
+       a.random.num_packets = parse_uint<std::uint32_t>(v, 0, 1'000'000);
+     },
+     kExplore | kSweep, "--workload random", random_workload},
+    {"--bits", "N", "Total bit volume of the random CDCG (default: 4096).",
+     [](RunArgs& a, Value v) { a.random.total_bits = parse_uint(v); },
+     kExplore | kSweep, "--workload random", random_workload},
+    {"--backend", "NAME",
+     "Evaluation backend: link (whole-link claims, the paper's model, "
+     "default) or flit (flit-accurate: finite input buffers, flow control, "
+     "backpressure). See docs/simulation.md.",
+     [](RunArgs& a, Value v) {
+       using B = sim::SimBackend;
+       a.explorer.sim_backend = pick<B>(v, "link | flit",
+                                        {{"link", B::kLinkClaim},
+                                         {"link-claim", B::kLinkClaim},
+                                         {"flit", B::kFlit}});
+     }},
+    {"--buffer-depth", "N", "Input-buffer flits per router port (default: 8).",
+     [](RunArgs& a, Value v) {
+       a.explorer.buffer_depth = parse_uint<std::uint32_t>(v, 1, 1u << 20);
+     },
+     kAllVerbs, "--backend flit", flit_backend},
+    {"--flow-control", "NAME", "credit | onoff (default: credit).",
+     [](RunArgs& a, Value v) {
+       using F = sim::FlowControl;
+       a.explorer.flow_control = pick<F>(v, "credit | onoff",
+                                         {{"credit", F::kCredit},
+                                          {"onoff", F::kOnOff},
+                                          {"on-off", F::kOnOff}});
+     },
+     kAllVerbs, "--backend flit", flit_backend},
+    {"--switching", "NAME",
+     "wormhole | vct (default: wormhole; vct needs --buffer-depth >= the "
+     "largest packet).",
+     [](RunArgs& a, Value v) {
+       using S = sim::Switching;
+       a.explorer.switching =
+           pick<S>(v, "wormhole | vct",
+                   {{"wormhole", S::kWormhole},
+                    {"vct", S::kVirtualCutThrough},
+                    {"virtual-cut-through", S::kVirtualCutThrough}});
+     },
+     kAllVerbs, "--backend flit", flit_backend},
+    {"--seed-mapping", "FILE",
+     "Warm-start the search from the mapping in FILE: whitespace- or "
+     "comma-separated tile ids (# starts a line comment), one per core "
+     "(core i starts on the i-th tile listed). The ids must be distinct, "
+     "in range, and exactly one per application core — anything else is "
+     "rejected. Every method except es is seeded (es enumerates "
+     "everything); the CDCM half is still reseeded with the CWM winner "
+     "unless --no-seed-cdcm.",
+     [](RunArgs& a, Value v) {
+       a.explorer.seed_assignment = load_seed_mapping(v);
+     },
+     kExplore},
+    csv_flag<RunArgs>(),
+};
+
+// --- bench --perf ------------------------------------------------------------
+
+/// core::EvalBenchOptions at quick budgets: this entry point doubles as the
+/// CI smoke step. The full-budget run is the bench_cost_eval binary.
+struct PerfArgs {
+  core::EvalBenchOptions bench;
+  std::string out = "BENCH_eval.json";
+  bool csv = false;
+
+  PerfArgs() {
+    bench.min_time_s = 0.05;
+    // The 3x3/4x4 exact searches finish far below this budget (the 4x4
+    // bench instance needs ~36k tests), and the larger boards just report a
+    // truncated run without stalling the smoke.
+    bench.bnb_max_nodes = 100'000;
+    bench.batch_threads = 2;
+    bench.alloc_count = &cli_allocation_count;
+  }
+};
+
+const std::vector<Flag<PerfArgs>> kPerfFlags = {
+    {"--perf", "", "Select this mode.", [](PerfArgs&, Value) {}},
+    {"--sizes", "LIST",
+     "Comma-separated grid sizes WxH (default: 3x3,4x4,...,8x8,10x10,"
+     "12x10).",
+     [](PerfArgs& a, Value v) { append_sizes(a.bench.sizes, v); }},
+    {"--topology", "NAME",
+     "NoC topology of every row: mesh | torus | xmesh (default: mesh).",
+     [](PerfArgs& a, Value v) { a.bench.topology = parse_topology(v); }},
+    {"--express-interval", "N",
+     "xmesh express-link spacing, k >= 2 (default: 2).",
+     [](PerfArgs& a, Value v) {
+       a.bench.express_interval = parse_uint<std::uint32_t>(v, 2, 1'000'000);
+     },
+     kAllVerbs, "--topology xmesh",
+     [](const PerfArgs& a) { return a.bench.topology == "xmesh"; }},
+    {"--seed", "N", "Workload and move-sequence seed (default: 1).",
+     [](PerfArgs& a, Value v) { a.bench.seed = parse_uint(v); }},
+    {"--threads", "N",
+     "Thread count T of the CDCM batch row, run with at least 2 (default: "
+     "1).",
+     [](PerfArgs& a, Value v) {
+       a.bench.batch_threads =
+           std::max(2u, parse_uint<std::uint32_t>(v, 1, 1024));
+     }},
+    {"--bnb-nodes", "N",
+     "Node budget of each row's branch-and-bound search (default: "
+     "100,000).",
+     [](PerfArgs& a, Value v) { a.bench.bnb_max_nodes = parse_uint(v, 1); }},
+    {"--hybrid-cadence", "N",
+     "CDCM verification cadence of the hybrid row (default: 8).",
+     [](PerfArgs& a, Value v) {
+       a.bench.hybrid_cadence = parse_uint<std::uint32_t>(v, 0, 1'000'000);
+     }},
+    {"--ckpt-interval", "N",
+     "Snapshot cadence in event pops of the checkpointed rows (default: 0 "
+     "= auto).",
+     [](PerfArgs& a, Value v) {
+       a.bench.ckpt_interval = parse_uint<std::uint32_t>(v, 0, 1'000'000'000);
+     }},
+    {"--out", "FILE", "Report path (default: BENCH_eval.json).",
+     [](PerfArgs& a, Value v) { a.out = v; }},
+    csv_flag<PerfArgs>(),
+};
+
+// --- bench --scale -----------------------------------------------------------
+
+/// core::ScaleBenchOptions plus the workload source replacing its boards.
+struct ScaleArgs {
+  core::ScaleBenchOptions bench;
+  std::optional<std::string> workload;
+  std::string out = "BENCH_scale.json";
+  bool csv = false;
+
+  /// --sizes accumulates, so the default boards wait until after parsing
+  /// (cmd_bench_scale()).
+  ScaleArgs() { bench.sizes.clear(); }
+};
+
+const std::vector<Flag<ScaleArgs>> kScaleFlags = {
+    {"--scale", "", "Select this mode.", [](ScaleArgs&, Value) {}},
+    {"--sizes", "LIST",
+     "Comma-separated board sizes WxH (default: 8x8,10x10,12x10).",
+     [](ScaleArgs& a, Value v) { append_sizes(a.bench.sizes, v); }},
+    {"--workload", "SRC",
+     "Bench a workload source instead of the boards: suite, file:PATH or "
+     "gen:SPEC (see `nocmap workloads --help`). Excludes --sizes.",
+     [](ScaleArgs& a, Value v) { a.workload = v; }},
+    {"--topology", "NAME",
+     "Only mesh, the default: the scale boards are the paper's meshes.",
+     [](ScaleArgs&, Value v) {
+       if (parse_topology(v) != "mesh") {
+         throw UsageError("must be mesh: bench --scale runs the paper's mesh "
+                          "boards only");
+       }
+     }},
+    {"--seed", "N", "Portfolio seed (default: 1).",
+     [](ScaleArgs& a, Value v) { a.bench.seed = parse_uint(v); }},
+    {"--threads", "N", "Workers racing the portfolio members (default: 1).",
+     [](ScaleArgs& a, Value v) {
+       a.bench.threads = parse_uint<std::uint32_t>(v, 1, 1024);
+     }},
+    {"--time-budget", "MS",
+     "Per-member wall budget in milliseconds (see `nocmap explore --help`). "
+     "Default: none.",
+     [](ScaleArgs& a, Value v) {
+       a.bench.time_budget_ms =
+           static_cast<double>(parse_uint(v, 1, 86'400'000));
+     }},
+    {"--bnb-nodes", "N",
+     "Node budget of the branch-and-bound member (default: 50,000).",
+     [](ScaleArgs& a, Value v) { a.bench.bnb_nodes = parse_uint(v, 1); }},
+    {"--out", "FILE", "Report path (default: BENCH_scale.json).",
+     [](ScaleArgs& a, Value v) { a.out = v; }},
+    csv_flag<ScaleArgs>(),
+};
+
+// --- serve-bench -------------------------------------------------------------
+
+struct ServeArgs {
+  serve::ServeBenchOptions bench;
+  std::string out = "BENCH_serve.json";
+  bool csv = false;
+
+  ServeArgs() {
+    bench.serve.explorer.tech = energy::technology_0_07u();
+    bench.serve.explorer.method = core::SearchMethod::kSimulatedAnnealing;
+    bench.serve.objective = serve::Objective::kCwm;
+  }
+};
+
+const std::vector<Flag<ServeArgs>> kServeFlags = {
+    {"--population", "SPEC",
+     "Synthetic population supplying fresh applications (workload gen: "
+     "grammar; default: apps=64,cores=8,seed=7). Cores must fit the mesh.",
+     [](ServeArgs& a, Value v) { a.bench.population = v; }},
+    {"--requests", "N", "Stream length (default: 1000).",
+     [](ServeArgs& a, Value v) {
+       a.bench.requests = parse_uint<std::uint32_t>(v, 1, 10'000'000);
+     }},
+    {"--dup-ratio", "X",
+     "Fraction of requests that are relabeled duplicates of earlier ones "
+     "(default: 0.35).",
+     [](ServeArgs& a, Value v) { a.bench.dup_ratio = parse_ratio(v); }},
+    {"--near-ratio", "X",
+     "Fraction that are relabeled + payload-perturbed near-duplicates "
+     "(default: 0.25). dup + near <= 1.",
+     [](ServeArgs& a, Value v) { a.bench.near_ratio = parse_ratio(v); }},
+    {"--mesh", "WxH", "Target NoC size (default: 3x3).",
+     [](ServeArgs& a, Value v) {
+       std::tie(a.bench.mesh_width, a.bench.mesh_height) = parse_mesh(v);
+     }},
+    {"--batch", "N", "Requests per serving batch (default: 16).",
+     [](ServeArgs& a, Value v) {
+       a.bench.batch = parse_uint<std::uint32_t>(v, 1, 1'000'000);
+     }},
+    {"--threads", "N",
+     "Worker threads solving a batch's unique jobs (default: 1). Purely a "
+     "throughput knob.",
+     [](ServeArgs& a, Value v) {
+       a.bench.serve.threads = parse_uint<std::uint32_t>(v, 1, 1024);
+     }},
+    {"--seed", "N", "Stream-synthesis and search seed (default: 1).",
+     [](ServeArgs& a, Value v) {
+       a.bench.seed = a.bench.serve.explorer.seed = parse_uint(v);
+     }},
+    {"--objective", "NAME",
+     "cwm | cdcm (default: cwm — the cheap objective keeps the "
+     "1000-request replay fast; cdcm load-tests the full "
+     "wormhole-simulation path).",
+     [](ServeArgs& a, Value v) {
+       using O = serve::Objective;
+       a.bench.serve.objective =
+           pick<O>(v, "cwm | cdcm", {{"cwm", O::kCwm}, {"cdcm", O::kCdcm}});
+     }},
+    {"--method", "NAME",
+     "auto | sa | bnb | portfolio (default: sa). es is rejected: exhaustive "
+     "search ignores warm starts.",
+     [](ServeArgs& a, Value v) {
+       a.bench.serve.explorer.method = parse_method(v);
+       if (a.bench.serve.explorer.method == core::SearchMethod::kExhaustive) {
+         throw UsageError("es is not supported: exhaustive search ignores "
+                          "warm starts");
+       }
+     }},
+    {"--ckpt-interval", "N",
+     "Checkpointed incremental CDCM evaluation for the solve paths (0 = "
+     "auto cadence); results are bitwise-identical either way, so cache "
+     "entries stay interchangeable.",
+     [](ServeArgs& a, Value v) {
+       a.bench.serve.explorer.cdcm_checkpoints = true;
+       a.bench.serve.explorer.ckpt_interval =
+           parse_uint<std::uint32_t>(v, 0, 1'000'000'000);
+     }},
+    {"--cache-capacity", "N", "LRU capacity in cached results (default: 4096).",
+     [](ServeArgs& a, Value v) {
+       a.bench.serve.cache_capacity = parse_uint<std::size_t>(v, 1);
+     }},
+    {"--bypass-cache", "",
+     "Solve every request cold; the cache is neither read nor written (the "
+     "byte-identity baseline the CI leg diffs against).",
+     [](ServeArgs& a, Value) { a.bench.serve.bypass_cache = true; }},
+    {"--out", "PATH", "Report path (default: BENCH_serve.json).",
+     [](ServeArgs& a, Value v) { a.out = v; }},
+    csv_flag<ServeArgs>(),
+};
+
+// --- workloads ---------------------------------------------------------------
+
+struct WorkloadsArgs {
+  std::string source;  ///< --workload, or the positional SRC.
+  std::string out;     ///< Empty: JSON on stdout.
+  bool csv = false;
+};
+
+enum WorkloadsVerb : unsigned {
+  kList = 1,
+  kImport = 2,
+  kExport = 4,
+  kGen = 8,
+  kValidate = 16,
+};
+
+const std::vector<Flag<WorkloadsArgs>> kWorkloadsFlags = {
+    {"--workload", "SRC", "The source, instead of the positional SRC.",
+     [](WorkloadsArgs& a, Value v) { a.source = v; }},
+    {"--out", "FILE", "Output file (.json or .csv); JSON on stdout without it.",
+     [](WorkloadsArgs& a, Value v) { a.out = v; }, kImport | kExport | kGen},
+    csv_flag<WorkloadsArgs>(kList),
+};
 
 // --- Workload resolution -----------------------------------------------------
 
 /// Single-entry check for subcommands without sweep semantics.
-void require_single_noc(const RunOptions& opts, const char* sub) {
-  if (opts.topologies.size() != 1 || opts.routings.size() != 1) {
+void require_single_noc(const RunArgs& args, const char* sub) {
+  if (args.topologies.size() != 1 || args.routings.size() != 1) {
     throw UsageError(std::string("`nocmap ") + sub +
                      "` takes a single --topology and --routing "
                      "(comma-separated lists are for `nocmap sweep`)");
   }
-}
-
-noc::TopologyOptions topology_options(const RunOptions& opts) {
-  noc::TopologyOptions to;
-  to.express_interval = static_cast<std::uint32_t>(opts.express_interval);
-  return to;
 }
 
 /// Split "file:apps.json#romberg-v1" into (source spec, fragment).
@@ -773,25 +980,25 @@ struct BoundWorkload {
   energy::Technology tech;
 };
 
-BoundWorkload resolve_workload(const RunOptions& opts) {
+BoundWorkload resolve_workload(const RunArgs& args) {
   std::uint32_t width = 0;
   std::uint32_t height = 0;
   graph::Cdcg cdcg;
-  std::string display_name = opts.workload;
+  std::string display_name = args.workload;
   energy::Technology default_tech = energy::technology_0_07u();
-  const auto [source_spec, fragment] = split_fragment(opts.workload);
+  const auto [source_spec, fragment] = split_fragment(args.workload);
 
   if (workload::is_source_spec(source_spec)) {
     const std::unique_ptr<workload::WorkloadSource> source =
         open_source(source_spec);
     std::size_t index = 0;
     if (!fragment.empty()) {
-      const bool numeric =
-          std::all_of(fragment.begin(), fragment.end(), [](unsigned char c) {
-            return c >= '0' && c <= '9';
-          });
-      if (numeric) {
-        index = static_cast<std::size_t>(parse_u64("--workload", fragment));
+      if (fragment.find_first_not_of("0123456789") == std::string::npos) {
+        index = source->size();
+        try {
+          index = parse_uint<std::size_t>(fragment);
+        } catch (const UsageError&) {
+        }
         if (index >= source->size()) {
           throw UsageError("--workload fragment #" + fragment +
                            " is out of range: " + source->name() + " holds " +
@@ -818,123 +1025,61 @@ BoundWorkload resolve_workload(const RunOptions& opts) {
     width = app.noc_width;
     height = app.noc_height;
     cdcg = std::move(app.cdcg);
-  } else if (opts.workload == "paper-example") {
+  } else if (args.workload == "paper-example") {
     cdcg = workload::paper_example_cdcg();
     width = 2;
     height = 2;
     default_tech = energy::example_technology();
-  } else if (opts.workload == "random") {
-    constexpr std::uint64_t kMaxRandomSize = 1'000'000;
-    if (opts.random_cores > kMaxRandomSize ||
-        opts.random_packets > kMaxRandomSize) {
-      throw UsageError("--cores/--packets are limited to 1,000,000");
-    }
-    workload::RandomCdcgParams params;
-    params.num_cores = static_cast<std::uint32_t>(opts.random_cores);
-    params.num_packets = static_cast<std::uint32_t>(opts.random_packets);
-    params.total_bits = opts.random_bits;
-    util::Rng rng(opts.seed);
-    cdcg = workload::generate_random_cdcg(params, rng);
+  } else if (args.workload == "random") {
+    util::Rng rng(args.explorer.seed);
+    cdcg = workload::generate_random_cdcg(args.random, rng);
     // Smallest near-square mesh that fits the cores.
-    std::uint32_t tiles = params.num_cores < 2 ? 2 : params.num_cores;
+    const std::uint32_t cores = args.random.num_cores;
+    const std::uint32_t tiles = cores < 2 ? 2 : cores;
     width = 1;
     while (width * width < tiles) ++width;
     height = (tiles + width - 1) / width;
   } else {
-    bool found = false;
-    for (workload::SuiteEntry& e : workload::table1_suite()) {
-      if (e.name == opts.workload) {
-        cdcg = std::move(e.cdcg);
-        width = e.noc_width;
-        height = e.noc_height;
-        found = true;
-        break;
-      }
-    }
-    if (!found) {
-      throw UsageError("unknown workload '" + opts.workload +
+    std::vector<workload::SuiteEntry> suite = workload::table1_suite();
+    const auto e = std::find_if(suite.begin(), suite.end(), [&](auto& s) {
+      return s.name == args.workload;
+    });
+    if (e == suite.end()) {
+      throw UsageError("unknown workload '" + args.workload +
                        "' (see `nocmap workloads`)");
     }
+    cdcg = std::move(e->cdcg);
+    width = e->noc_width;
+    height = e->noc_height;
   }
 
-  if (opts.mesh) {
-    width = opts.mesh->first;
-    height = opts.mesh->second;
+  if (args.mesh) {
+    width = args.mesh->first;
+    height = args.mesh->second;
   }
   if (cdcg.num_cores() > static_cast<std::size_t>(width) * height) {
-    throw UsageError("workload '" + opts.workload + "' has " +
+    throw UsageError("workload '" + args.workload + "' has " +
                      std::to_string(cdcg.num_cores()) +
                      " cores but the mesh only has " +
                      std::to_string(width * height) + " tiles");
   }
   return BoundWorkload{std::move(display_name), std::move(cdcg),
-                       noc::make_topology(opts.topologies.front(), width,
-                                          height, topology_options(opts)),
-                       opts.tech ? *opts.tech : default_tech};
-}
-
-core::ExplorerOptions explorer_options(const RunOptions& opts,
-                                       const energy::Technology& tech) {
-  core::ExplorerOptions eo;
-  eo.tech = tech;
-  eo.routing = opts.routings.front();
-  eo.method = opts.method;
-  eo.seed = opts.seed;
-  eo.seed_cdcm_with_cwm = opts.seed_cdcm_with_cwm;
-  eo.threads = static_cast<std::uint32_t>(opts.threads);
-  eo.sa_chains = static_cast<std::uint32_t>(opts.chains);
-  eo.timing_cost = opts.timing_cost;
-  eo.hybrid_cadence = static_cast<std::uint32_t>(opts.hybrid_cadence);
-  eo.cdcm_checkpoints = opts.checkpoints;
-  eo.ckpt_interval = static_cast<std::uint32_t>(opts.ckpt_interval);
-  eo.sim_backend = opts.sim_backend;
-  eo.buffer_depth = static_cast<std::uint32_t>(opts.buffer_depth);
-  eo.flow_control = opts.flow_control;
-  eo.switching = opts.switching;
-  if (opts.bnb_nodes != 0) eo.bnb.max_nodes = opts.bnb_nodes;
-  eo.time_budget_ms = static_cast<double>(opts.time_budget_ms);
-  if (opts.seed_mapping_path) {
-    eo.seed_assignment = load_seed_mapping(*opts.seed_mapping_path);
-  }
-  return eo;
-}
-
-/// Run `job(i)` for i in [0, count) on up to `threads` workers. Results are
-/// produced by index, so the output order — and everything the caller
-/// renders — is independent of the thread count.
-void parallel_for_index(std::uint64_t threads, std::size_t count,
-                        const std::function<void(std::size_t)>& job) {
-  const std::size_t workers =
-      std::min<std::size_t>(std::max<std::uint64_t>(threads, 1), count);
-  if (workers <= 1) {
-    for (std::size_t i = 0; i < count; ++i) job(i);
-    return;
-  }
-  std::atomic<std::size_t> next{0};
-  std::mutex error_mutex;
-  std::exception_ptr first_error;
-  std::vector<std::thread> pool;
-  pool.reserve(workers);
-  for (std::size_t w = 0; w < workers; ++w) {
-    pool.emplace_back([&] {
-      for (;;) {
-        const std::size_t i = next.fetch_add(1);
-        if (i >= count) return;
-        try {
-          job(i);
-        } catch (...) {
-          const std::lock_guard<std::mutex> lock(error_mutex);
-          if (!first_error) first_error = std::current_exception();
-        }
-      }
-    });
-  }
-  for (std::thread& t : pool) t.join();
-  if (first_error) std::rethrow_exception(first_error);
+                       noc::make_topology(args.topologies.front(), width,
+                                          height, args.topology_options),
+                       args.tech.value_or(default_tech)};
 }
 
 void print_table(const util::TextTable& table, bool csv) {
   std::cout << (csv ? table.to_csv() : table.to_string());
+}
+
+/// Write `json` to `path`; the note goes to stderr, since stdout must stay
+/// parseable under --csv.
+void write_report(const std::string& path, const std::string& json) {
+  std::ofstream out(path);
+  if (!out) throw std::runtime_error("cannot write " + path);
+  out << json;
+  std::cerr << "wrote " << path << "\n";
 }
 
 /// Cell formatting that adapts to the output mode: human units in table
@@ -971,12 +1116,14 @@ class Fmt {
 
 // --- Subcommands -------------------------------------------------------------
 
-int cmd_explore(const RunOptions& opts) {
-  require_single_noc(opts, "explore");
-  BoundWorkload wl = resolve_workload(opts);
-  core::Explorer explorer(wl.cdcg, *wl.topo, explorer_options(opts, wl.tech));
+int cmd_explore(const RunArgs& args) {
+  require_single_noc(args, "explore");
+  BoundWorkload wl = resolve_workload(args);
+  core::ExplorerOptions options = args.explorer;
+  options.tech = wl.tech;
+  core::Explorer explorer(wl.cdcg, *wl.topo, options);
   core::Comparison cmp = explorer.compare();
-  Fmt fmt(opts.csv);
+  Fmt fmt(args.csv);
 
   util::TextTable table(
       {"Model", "Method", "Evaluations", fmt.head("Objective", "J"),
@@ -995,16 +1142,16 @@ int cmd_explore(const RunOptions& opts) {
                    fmt.energy(outcome->sim.energy.total_j()),
                    fmt.time(outcome->sim.total_contention_ns)});
   }
-  print_table(table, opts.csv);
+  print_table(table, args.csv);
 
   util::TextTable summary({"Metric", fmt.head("Value", "pct")});
   summary.add_row({"ETR (execution-time reduction)",
                    fmt.percent(cmp.execution_time_reduction())});
   summary.add_row({"ECS (energy saving, " + wl.tech.name + ")",
                    fmt.percent(cmp.energy_saving())});
-  print_table(summary, opts.csv);
+  print_table(summary, args.csv);
 
-  if (opts.method == core::SearchMethod::kBranchAndBound) {
+  if (options.method == core::SearchMethod::kBranchAndBound) {
     // For a completed search (Complete = yes) every counter is
     // deterministic for any --threads value (the engine's subtree tasks
     // never share pruning state), so this table is safe to diff in CI.
@@ -1025,10 +1172,10 @@ int cmd_explore(const RunOptions& opts) {
                    frac ? fmt.percent(*frac) : "",
                    outcome->bnb_complete ? "yes" : "no"});
     }
-    print_table(bnb, opts.csv);
+    print_table(bnb, args.csv);
   }
 
-  if (opts.method == core::SearchMethod::kPortfolio) {
+  if (options.method == core::SearchMethod::kPortfolio) {
     // Every column is deterministic in (seed, roster, budgets) — identical
     // for any --threads — so this table is safe to diff in CI.
     util::TextTable pf({"Model", "Members", "Winner", "Polish", "Cut"});
@@ -1039,19 +1186,13 @@ int cmd_explore(const RunOptions& opts) {
                   fmt.count(outcome->portfolio_polish),
                   outcome->portfolio_cut ? "yes" : "no"});
     }
-    print_table(pf, opts.csv);
+    print_table(pf, args.csv);
   }
   return 0;
 }
 
-int cmd_bench_perf(const RunOptions& opts) {
-  require_single_noc(opts, "bench");
-  core::EvalBenchOptions options;
-  // Quick budgets: this entry point doubles as the CI smoke step. The
-  // full-budget run is the bench_cost_eval binary.
-  options.min_time_s = 0.05;
-  options.seed = opts.seed;
-  options.sizes = opts.perf_sizes;
+int cmd_bench_perf(PerfArgs args) {
+  core::EvalBenchOptions& options = args.bench;
   if (options.sizes.empty()) {
     // The quick CLI ladder: the library's square 3x3..8x8 default plus the
     // paper's two large boards. run_eval_bench caps the B&B node budget
@@ -1063,21 +1204,9 @@ int cmd_bench_perf(const RunOptions& opts) {
     options.sizes.emplace_back(10, 10);
     options.sizes.emplace_back(12, 10);
   }
-  options.topology = opts.topologies.front();
-  options.express_interval =
-      static_cast<std::uint32_t>(opts.express_interval);
-  options.batch_threads =
-      std::max<std::uint32_t>(2, static_cast<std::uint32_t>(opts.threads));
-  options.hybrid_cadence = static_cast<std::uint32_t>(opts.hybrid_cadence);
-  options.ckpt_interval = static_cast<std::uint32_t>(opts.ckpt_interval);
-  options.alloc_count = &cli_allocation_count;
-  // Quick default budget too: the 3x3/4x4 exact searches finish far below
-  // it (the 4x4 bench instance needs ~36k tests), and the larger boards
-  // just report a truncated run without stalling the smoke.
-  options.bnb_max_nodes = opts.bnb_nodes != 0 ? opts.bnb_nodes : 100'000;
   const core::EvalBenchReport report = core::run_eval_bench(options);
 
-  Fmt fmt(opts.csv);
+  Fmt fmt(args.csv);
   const std::string batch_t =
       "CDCM batch x" + std::to_string(options.batch_threads);
   util::TextTable table(
@@ -1090,52 +1219,38 @@ int cmd_bench_perf(const RunOptions& opts) {
        "B&B done"});
   table.set_title("nocmap bench --perf — evaluations/second, " +
                   options.topology);
+  const auto rate = [&](double per_s) {
+    return fmt.count(static_cast<std::uint64_t>(per_s));
+  };
   for (const core::EvalBenchRow& r : report.rows) {
     table.add_row({std::to_string(r.mesh_width) + "x" +
                        std::to_string(r.mesh_height),
-                   std::to_string(r.num_cores),
-                   fmt.count(static_cast<std::uint64_t>(r.cwm_legacy_per_s)),
-                   fmt.count(static_cast<std::uint64_t>(r.cwm_delta_per_s)),
-                   fmt.count(static_cast<std::uint64_t>(r.cdcm_oneshot_per_s)),
-                   fmt.count(static_cast<std::uint64_t>(r.cdcm_reuse_per_s)),
-                   fmt.count(static_cast<std::uint64_t>(r.cdcm_delta_per_s)),
-                   fmt.count(static_cast<std::uint64_t>(r.cdcm_ckpt_per_s)),
-                   fmt.count(static_cast<std::uint64_t>(r.cdcm_batch_t_per_s)),
-                   fmt.count(static_cast<std::uint64_t>(r.hybrid_per_s)),
+                   std::to_string(r.num_cores), rate(r.cwm_legacy_per_s),
+                   rate(r.cwm_delta_per_s), rate(r.cdcm_oneshot_per_s),
+                   rate(r.cdcm_reuse_per_s), rate(r.cdcm_delta_per_s),
+                   rate(r.cdcm_ckpt_per_s), rate(r.cdcm_batch_t_per_s),
+                   rate(r.hybrid_per_s),
                    r.bnb_pruned_saturated() ? ""
                                             : fmt.percent(*r.bnb_pruned_frac()),
                    r.bnb_complete ? "yes" : "no"});
   }
-  print_table(table, opts.csv);
-
-  const std::string out_path = opts.out_path.value_or("BENCH_eval.json");
-  std::ofstream out(out_path);
-  if (!out) {
-    throw std::runtime_error("cannot write " + out_path);
-  }
-  out << report.to_json();
-  // stderr: stdout must stay parseable under --csv.
-  std::cerr << "wrote " << out_path << "\n";
+  print_table(table, args.csv);
+  write_report(args.out, report.to_json());
   return 0;
 }
 
-int cmd_bench_scale(const RunOptions& opts) {
-  require_single_noc(opts, "bench");
-  if (opts.topologies.front() != "mesh") {
-    throw UsageError("bench --scale runs the paper's mesh boards only");
-  }
-  core::ScaleBenchOptions options;
-  if (!opts.perf_sizes.empty()) options.sizes = opts.perf_sizes;
-  if (opts.workload_set) {
-    if (!opts.perf_sizes.empty()) {
+int cmd_bench_scale(ScaleArgs args) {
+  core::ScaleBenchOptions& options = args.bench;
+  if (args.workload) {
+    if (!options.sizes.empty()) {
       throw UsageError(
           "bench --scale takes either --workload or --sizes, not both");
     }
-    const auto [spec, fragment] = split_fragment(opts.workload);
+    const auto [spec, fragment] = split_fragment(*args.workload);
     if (!workload::is_source_spec(spec)) {
       throw UsageError("bench --scale --workload expects a source spec "
                        "(suite, file:PATH or gen:SPEC), got '" +
-                       opts.workload + "'");
+                       *args.workload + "'");
     }
     if (!fragment.empty()) {
       throw UsageError("bench --scale benches whole sources; drop the '#" +
@@ -1146,23 +1261,16 @@ int cmd_bench_scale(const RunOptions& opts) {
     std::cerr << "workload source: " << source->provenance() << "\n";
     for (std::size_t i = 0; i < source->size(); ++i) {
       workload::WorkloadApp app = source->app(i);
-      core::ScaleBenchWorkload w;
-      w.name = std::move(app.name);
-      w.width = app.noc_width;
-      w.height = app.noc_height;
-      w.cdcg = std::move(app.cdcg);
-      options.workloads.push_back(std::move(w));
+      options.workloads.push_back({std::move(app.name), app.noc_width,
+                                   app.noc_height, std::move(app.cdcg)});
     }
   }
-  options.seed = opts.seed;
-  options.threads = static_cast<std::uint32_t>(opts.threads);
-  options.time_budget_ms = static_cast<double>(opts.time_budget_ms);
-  if (opts.bnb_nodes != 0) options.bnb_nodes = opts.bnb_nodes;
+  if (options.sizes.empty()) options.sizes = core::ScaleBenchOptions().sizes;
   const core::ScaleBenchReport report = core::run_scale_bench(options);
 
   // Deterministic columns only (best_j, moves, winner — never wall clock),
   // so CI can diff this table across thread counts byte-for-byte.
-  Fmt fmt(opts.csv);
+  Fmt fmt(args.csv);
   util::TextTable table({"NoC", "Application", "Cores", "Members", "Winner",
                          fmt.head("Greedy", "J"), fmt.head("Best", "J"),
                          "Evaluations", "Polish", "Cut"});
@@ -1176,40 +1284,25 @@ int cmd_bench_scale(const RunOptions& opts) {
                    fmt.count(r.evaluations), fmt.count(r.polish_applied),
                    r.time_cut ? "yes" : "no"});
   }
-  print_table(table, opts.csv);
-
-  const std::string out_path = opts.out_path.value_or("BENCH_scale.json");
-  std::ofstream out(out_path);
-  if (!out) {
-    throw std::runtime_error("cannot write " + out_path);
-  }
-  out << report.to_json();
-  std::cerr << "wrote " << out_path << "\n";
+  print_table(table, args.csv);
+  write_report(args.out, report.to_json());
   return 0;
 }
 
-int cmd_bench(const RunOptions& opts) {
-  if (opts.perf && opts.scale) {
-    throw UsageError("--perf and --scale are mutually exclusive");
-  }
-  if (opts.workload_set && !opts.scale) {
-    throw UsageError("`nocmap bench` accepts --workload only with --scale "
-                     "(the plain bench always runs the Table-1 suite)");
-  }
-  if (opts.perf) return cmd_bench_perf(opts);
-  if (opts.scale) return cmd_bench_scale(opts);
-  require_single_noc(opts, "bench");
+int cmd_bench_suite(const RunArgs& args) {
+  require_single_noc(args, "bench");
   std::vector<workload::SuiteEntry> suite =
-      opts.noc_filter ? workload::table1_suite_for(*opts.noc_filter)
+      args.noc_filter ? workload::table1_suite_for(*args.noc_filter)
                       : workload::table1_suite();
-  energy::Technology tech = opts.tech ? *opts.tech : energy::technology_0_07u();
+  const energy::Technology tech =
+      args.tech.value_or(energy::technology_0_07u());
 
-  Fmt fmt(opts.csv);
+  Fmt fmt(args.csv);
   util::TextTable table({"Application", "NoC", "Cores", "Packets", "Bits",
                          "Method", fmt.head("ETR", "pct"),
                          fmt.head("ECS", "pct")});
   // The historical title is kept byte-for-byte on the mesh path.
-  const std::string& topology = opts.topologies.front();
+  const std::string& topology = args.topologies.front();
   table.set_title("nocmap bench — Table-1 suite, " + tech.name +
                   (topology == "mesh" ? "" : ", " + topology));
 
@@ -1218,15 +1311,16 @@ int cmd_bench(const RunOptions& opts) {
   // the collected rows do not depend on the thread count. The worker budget
   // is spent at the application level; each Explorer runs its chains
   // serially (otherwise --threads would multiply into threads^2 workers).
-  RunOptions per_app = opts;
+  core::ExplorerOptions per_app = args.explorer;
+  per_app.tech = tech;
   if (suite.size() > 1) per_app.threads = 1;
   std::vector<std::optional<core::Comparison>> comparisons(suite.size());
-  parallel_for_index(opts.threads, suite.size(), [&](std::size_t i) {
+  util::parallel_for_index(args.explorer.threads, suite.size(),
+                           [&](std::size_t i) {
     const workload::SuiteEntry& entry = suite[i];
     const std::unique_ptr<noc::Topology> topo = noc::make_topology(
-        topology, entry.noc_width, entry.noc_height, topology_options(opts));
-    core::Explorer explorer(entry.cdcg, *topo,
-                            explorer_options(per_app, tech));
+        topology, entry.noc_width, entry.noc_height, args.topology_options);
+    core::Explorer explorer(entry.cdcg, *topo, per_app);
     comparisons[i] = explorer.compare();
   });
 
@@ -1245,116 +1339,45 @@ int cmd_bench(const RunOptions& opts) {
                    fmt.percent(cmp.execution_time_reduction()),
                    fmt.percent(cmp.energy_saving())});
   }
-  print_table(table, opts.csv);
+  print_table(table, args.csv);
   return 0;
 }
 
-double parse_ratio(const std::string& flag, const std::string& value) {
-  try {
-    std::size_t pos = 0;
-    const double v = std::stod(value, &pos);
-    if (pos != value.size() || !(v >= 0.0) || !(v <= 1.0)) {
-      throw std::invalid_argument(value);
-    }
-    return v;
-  } catch (const std::exception&) {
-    throw UsageError(flag + " expects a fraction in [0, 1], got '" + value +
-                     "'");
+/// `bench` runs the suite; --perf and --scale select a benchmark mode with
+/// its own flag table.
+int cmd_bench(int argc, char** argv) {
+  const auto given = [&](const char* flag) {
+    return std::find(argv + 2, argv + argc, std::string(flag)) != argv + argc;
+  };
+  const bool perf = given("--perf");
+  const bool scale = given("--scale");
+  if (perf && scale) {
+    throw UsageError("--perf and --scale are mutually exclusive");
   }
+  if (perf) {
+    return cmd_bench_perf(parse_flags(
+        Command<PerfArgs>{"bench --perf", kBenchPerfUsage, kPerfFlags},
+        argc, argv, 2));
+  }
+  if (scale) {
+    return cmd_bench_scale(parse_flags(
+        Command<ScaleArgs>{"bench --scale", kBenchScaleUsage, kScaleFlags},
+        argc, argv, 2));
+  }
+  return cmd_bench_suite(parse_flags(
+      Command<RunArgs>{"bench", kBenchUsage, kRunFlags, kBench}, argc, argv,
+      2));
 }
 
-int cmd_serve_bench(int argc, char** argv) {
-  serve::ServeBenchOptions options;
-  options.serve.explorer.tech = energy::technology_0_07u();
-  options.serve.explorer.method = core::SearchMethod::kSimulatedAnnealing;
-  options.serve.objective = serve::Objective::kCwm;
-  std::string out_path = "BENCH_serve.json";
-  bool csv = false;
-
-  auto value = [&](int& i, const std::string& flag) -> std::string {
-    if (i + 1 >= argc) throw UsageError(flag + " expects a value");
-    return argv[++i];
-  };
-  for (int i = 2; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "-h" || a == "--help") {
-      std::cout << kServeBenchUsage;
-      return 0;
-    } else if (a == "--population") {
-      options.population = value(i, a);
-    } else if (a == "--requests") {
-      options.requests =
-          static_cast<std::uint32_t>(parse_u64(a, value(i, a)));
-      if (options.requests == 0 || options.requests > 10'000'000) {
-        throw UsageError("--requests must be in [1, 10,000,000]");
-      }
-    } else if (a == "--dup-ratio") {
-      options.dup_ratio = parse_ratio(a, value(i, a));
-    } else if (a == "--near-ratio") {
-      options.near_ratio = parse_ratio(a, value(i, a));
-    } else if (a == "--mesh") {
-      const auto wh = parse_mesh(a, value(i, a));
-      options.mesh_width = wh.first;
-      options.mesh_height = wh.second;
-    } else if (a == "--batch") {
-      options.batch = static_cast<std::uint32_t>(parse_u64(a, value(i, a)));
-      if (options.batch == 0 || options.batch > 1'000'000) {
-        throw UsageError("--batch must be in [1, 1,000,000]");
-      }
-    } else if (a == "--threads") {
-      const std::uint64_t t = parse_u64(a, value(i, a));
-      if (t == 0 || t > 1024) throw UsageError("--threads must be in [1, 1024]");
-      options.serve.threads = static_cast<std::uint32_t>(t);
-    } else if (a == "--seed") {
-      options.seed = parse_u64(a, value(i, a));
-      options.serve.explorer.seed = options.seed;
-    } else if (a == "--objective") {
-      const std::string v = value(i, a);
-      if (v == "cwm") {
-        options.serve.objective = serve::Objective::kCwm;
-      } else if (v == "cdcm") {
-        options.serve.objective = serve::Objective::kCdcm;
-      } else {
-        throw UsageError("--objective expects cwm | cdcm, got '" + v + "'");
-      }
-    } else if (a == "--method") {
-      options.serve.explorer.method = parse_method(value(i, a));
-      if (options.serve.explorer.method == core::SearchMethod::kExhaustive) {
-        throw UsageError(
-            "serve-bench --method es is not supported: exhaustive search "
-            "ignores warm starts");
-      }
-    } else if (a == "--ckpt-interval") {
-      options.serve.explorer.cdcm_checkpoints = true;
-      const std::uint64_t n = parse_u64(a, value(i, a));
-      if (n > 1'000'000'000) {
-        throw UsageError("--ckpt-interval must be at most 1,000,000,000");
-      }
-      options.serve.explorer.ckpt_interval = static_cast<std::uint32_t>(n);
-    } else if (a == "--cache-capacity") {
-      options.serve.cache_capacity =
-          static_cast<std::size_t>(parse_u64(a, value(i, a)));
-      if (options.serve.cache_capacity == 0) {
-        throw UsageError("--cache-capacity must be >= 1");
-      }
-    } else if (a == "--bypass-cache") {
-      options.serve.bypass_cache = true;
-    } else if (a == "--out") {
-      out_path = value(i, a);
-    } else if (a == "--csv") {
-      csv = true;
-    } else {
-      throw UsageError("option '" + a +
-                       "' is not valid for `nocmap serve-bench`");
-    }
-  }
+int cmd_serve_bench(const ServeArgs& args) {
+  const serve::ServeBenchOptions& options = args.bench;
   if (options.dup_ratio + options.near_ratio > 1.0) {
     throw UsageError("--dup-ratio + --near-ratio must be at most 1");
   }
 
   const serve::ServeBenchReport report = serve::run_serve_bench(options);
 
-  Fmt fmt(csv);
+  Fmt fmt(args.csv);
   util::TextTable table({"Metric", "Value"});
   table.set_title("nocmap serve-bench — " + report.population + " on " +
                   std::to_string(report.mesh_width) + "x" +
@@ -1374,12 +1397,8 @@ int cmd_serve_bench(int argc, char** argv) {
   table.add_row(
       {"warm-start speedup", util::format_fixed(report.warm_speedup, 2)});
   table.add_row({"results digest", std::to_string(report.results_digest)});
-  print_table(table, csv);
-
-  std::ofstream out(out_path);
-  if (!out) throw std::runtime_error("cannot write " + out_path);
-  out << report.to_json();
-  std::cerr << "wrote " << out_path << "\n";
+  print_table(table, args.csv);
+  write_report(args.out, report.to_json());
   return 0;
 }
 
@@ -1480,102 +1499,78 @@ int cmd_workloads_validate(const std::string& spec) {
 }
 
 int cmd_workloads(int argc, char** argv) {
-  std::string verb = "list";
-  std::vector<std::string> positional;
-  std::string spec;
-  std::string out;
-  bool csv = false;
-  int i = 2;
-  if (i < argc && argv[i][0] != '-') verb = argv[i++];
-  auto value = [&](const std::string& flag) -> std::string {
-    if (i + 1 >= argc) throw UsageError(flag + " expects a value");
-    return argv[++i];
+  int first = 2;
+  const std::string verb =
+      first < argc && argv[first][0] != '-' ? argv[first++] : "list";
+  struct Verb {
+    const char* name;
+    unsigned bit;
+    const char* example;  ///< Arguments of a usage example.
   };
-  for (; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "-h" || a == "--help") {
-      std::cout << kWorkloadsUsage;
-      return 0;
-    } else if (a == "--csv") {
-      csv = true;
-    } else if (a == "--workload") {
-      spec = value(a);
-    } else if (a == "--out") {
-      out = value(a);
-    } else if (!a.empty() && a[0] == '-') {
-      throw UsageError("option '" + a +
-                       "' is not valid for `nocmap workloads`");
-    } else {
-      positional.push_back(a);
-    }
+  const Verb verbs[] = {{"list", kList, "suite"},
+                        {"import", kImport, "apps.tgff --out apps.json"},
+                        {"export", kExport, "suite --out suite.json"},
+                        {"gen", kGen, "apps=200,seed=7"},
+                        {"validate", kValidate, "file:apps.json"}};
+  const auto it = std::find_if(std::begin(verbs), std::end(verbs),
+                               [&](const Verb& v) { return verb == v.name; });
+  if (it == std::end(verbs)) {
+    throw UsageError("unknown `nocmap workloads` verb '" + verb +
+                     "' (expected list, import, export, gen or validate)");
   }
+  std::vector<std::string> positional;
+  WorkloadsArgs args = parse_flags(
+      Command<WorkloadsArgs>{"workloads " + verb, kWorkloadsUsage,
+                             kWorkloadsFlags, it->bit},
+      argc, argv, first, WorkloadsArgs(), &positional);
   if (positional.size() > 1) {
     throw UsageError("`nocmap workloads " + verb +
                      "` takes at most one positional argument");
   }
   if (!positional.empty()) {
-    if (!spec.empty()) {
+    if (!args.source.empty()) {
       throw UsageError("give the source either positionally or with "
                        "--workload, not both");
     }
-    spec = positional.front();
+    args.source = positional.front();
   }
-
-  if (verb == "list") {
-    return cmd_workloads_list(spec.empty() ? "" : as_source_spec(spec), csv);
+  const std::string& spec = args.source;
+  if (it->bit == kList) {
+    return cmd_workloads_list(spec.empty() ? "" : as_source_spec(spec),
+                              args.csv);
   }
-  if (verb == "import") {
-    if (spec.empty()) {
-      throw UsageError("`nocmap workloads import` needs a file, e.g. "
-                       "`nocmap workloads import apps.tgff --out apps.json`");
-    }
-    return cmd_workloads_export(as_source_spec(spec), out);
+  if (spec.empty()) {
+    throw UsageError("`nocmap workloads " + verb + "` needs a source, e.g. " +
+                     "`nocmap workloads " + verb + " " + it->example + "`");
   }
-  if (verb == "export") {
-    if (spec.empty()) {
-      throw UsageError("`nocmap workloads export` needs a source, e.g. "
-                       "`nocmap workloads export suite --out suite.json`");
-    }
-    return cmd_workloads_export(as_source_spec(spec), out);
+  if (it->bit == kValidate) return cmd_workloads_validate(as_source_spec(spec));
+  if (it->bit == kGen) {
+    return cmd_workloads_export(
+        spec.rfind("gen:", 0) == 0 ? spec : "gen:" + spec, args.out);
   }
-  if (verb == "gen") {
-    if (spec.empty()) {
-      throw UsageError("`nocmap workloads gen` needs a population spec, "
-                       "e.g. `nocmap workloads gen apps=200,seed=7`");
-    }
-    const std::string gen_spec =
-        spec.rfind("gen:", 0) == 0 ? spec : "gen:" + spec;
-    return cmd_workloads_export(gen_spec, out);
-  }
-  if (verb == "validate") {
-    if (spec.empty()) {
-      throw UsageError("`nocmap workloads validate` needs a source or file");
-    }
-    return cmd_workloads_validate(as_source_spec(spec));
-  }
-  throw UsageError("unknown `nocmap workloads` verb '" + verb +
-                   "' (expected list, import, export, gen or validate)");
+  return cmd_workloads_export(as_source_spec(spec), args.out);
 }
 
 /// The historical single-(topology, routing) seed sweep; kept as its own
 /// path so the mesh/XY output stays byte-identical to the pre-topology era.
-int cmd_sweep_seeds(const RunOptions& opts) {
-  BoundWorkload wl = resolve_workload(opts);
-  Fmt fmt(opts.csv);
+int cmd_sweep_seeds(const RunArgs& args, std::uint64_t num_seeds) {
+  BoundWorkload wl = resolve_workload(args);
+  Fmt fmt(args.csv);
 
   util::TextTable table({"Seed", "Method", fmt.head("CWM Texec", "ns"),
                          fmt.head("CDCM Texec", "ns"), fmt.head("ETR", "pct"),
                          fmt.head("ECS", "pct")});
   table.set_title("nocmap sweep — " + wl.name + " on " + wl.topo->label() +
-                  ", " + wl.tech.name + ", " +
-                  std::to_string(opts.num_seeds) + " seeds");
+                  ", " + wl.tech.name + ", " + std::to_string(num_seeds) +
+                  " seeds");
 
   double etr_sum = 0.0, etr_min = 0.0, etr_max = 0.0;
   double ecs_sum = 0.0;
-  for (std::uint64_t k = 0; k < opts.num_seeds; ++k) {
-    RunOptions run = opts;
-    run.seed = opts.seed + k;
-    core::Explorer explorer(wl.cdcg, *wl.topo, explorer_options(run, wl.tech));
+  for (std::uint64_t k = 0; k < num_seeds; ++k) {
+    core::ExplorerOptions run = args.explorer;
+    run.tech = wl.tech;
+    run.seed = args.explorer.seed + k;
+    core::Explorer explorer(wl.cdcg, *wl.topo, run);
     core::Comparison cmp = explorer.compare();
     double etr = cmp.execution_time_reduction();
     double ecs = cmp.energy_saving();
@@ -1589,33 +1584,36 @@ int cmd_sweep_seeds(const RunOptions& opts) {
                    fmt.time(cmp.cdcm.sim.texec_ns), fmt.percent(etr),
                    fmt.percent(ecs)});
   }
-  print_table(table, opts.csv);
+  print_table(table, args.csv);
 
-  double n = static_cast<double>(opts.num_seeds);
+  double n = static_cast<double>(num_seeds);
   util::TextTable summary({"Metric", fmt.head("Value", "pct")});
   summary.add_row({"mean ETR", fmt.percent(etr_sum / n)});
   summary.add_row({"min ETR", fmt.percent(etr_min)});
   summary.add_row({"max ETR", fmt.percent(etr_max)});
   summary.add_row({"mean ECS", fmt.percent(ecs_sum / n)});
-  print_table(summary, opts.csv);
+  print_table(summary, args.csv);
   return 0;
 }
 
-int cmd_sweep(const RunOptions& opts) {
+int cmd_sweep(const RunArgs& args) {
   // Any multi-application source ("suite", "file:apps.json", "gen:...")
   // sweeps every application it holds; a '#' fragment pins one application
   // and keeps the historical single-workload semantics.
-  const auto [sweep_spec, sweep_fragment] = split_fragment(opts.workload);
+  const auto [sweep_spec, sweep_fragment] = split_fragment(args.workload);
   const bool multi_mode =
       workload::is_source_spec(sweep_spec) && sweep_fragment.empty();
-  if (opts.noc_filter && !multi_mode) {
+  if (args.noc_filter && !multi_mode) {
     throw UsageError(
         "sweep --noc filters a multi-application --workload source "
         "(suite, file:PATH or gen:SPEC)");
   }
-  if (!multi_mode && opts.topologies.size() == 1 &&
-      opts.routings.size() == 1) {
-    return cmd_sweep_seeds(opts);
+  // A full source already multiplies out to many rows; default to a single
+  // seed there unless the user asked for more.
+  const std::uint64_t num_seeds = args.seeds.value_or(multi_mode ? 1 : 5);
+  if (!multi_mode && args.topologies.size() == 1 &&
+      args.routings.size() == 1) {
+    return cmd_sweep_seeds(args, num_seeds);
   }
 
   // --- Cross-topology sweep: (topology x routing x application x seed) ------
@@ -1630,9 +1628,8 @@ int cmd_sweep(const RunOptions& opts) {
   std::vector<workload::WorkloadApp> src_apps;
   std::optional<BoundWorkload> single;
   std::vector<SweepApp> apps;
-  std::string title = opts.workload;
-  energy::Technology tech =
-      opts.tech ? *opts.tech : energy::technology_0_07u();
+  std::string title = args.workload;
+  energy::Technology tech = args.tech.value_or(energy::technology_0_07u());
   if (multi_mode) {
     const std::unique_ptr<workload::WorkloadSource> source =
         open_source(sweep_spec);
@@ -1640,7 +1637,7 @@ int cmd_sweep(const RunOptions& opts) {
     std::cerr << "workload source: " << source->provenance() << "\n";
     for (std::size_t i = 0; i < source->size(); ++i) {
       workload::WorkloadApp app = source->app(i);
-      if (opts.noc_filter && app.noc_size_label() != *opts.noc_filter) {
+      if (args.noc_filter && app.noc_size_label() != *args.noc_filter) {
         continue;
       }
       src_apps.push_back(std::move(app));
@@ -1648,23 +1645,18 @@ int cmd_sweep(const RunOptions& opts) {
     if (src_apps.empty()) {
       throw UsageError("source " + source->name() +
                        " has no workloads on NoC size " +
-                       (opts.noc_filter ? *opts.noc_filter : "?"));
+                       args.noc_filter.value_or("?"));
     }
     for (const workload::WorkloadApp& a : src_apps) {
       apps.push_back(SweepApp{a.name, &a.cdcg, a.noc_width, a.noc_height});
     }
   } else {
-    single = resolve_workload(opts);
+    single = resolve_workload(args);
     tech = single->tech;
     title = single->name;
     apps.push_back(SweepApp{single->name, &single->cdcg,
                             single->topo->width(), single->topo->height()});
   }
-
-  // A full source already multiplies out to many rows; default to a single
-  // seed there unless the user asked for more.
-  const std::uint64_t num_seeds =
-      (multi_mode && !opts.seeds_set) ? 1 : opts.num_seeds;
 
   struct SweepRow {
     std::string topology;
@@ -1674,12 +1666,12 @@ int cmd_sweep(const RunOptions& opts) {
     std::optional<core::Comparison> cmp;
   };
   std::vector<SweepRow> rows;
-  for (const std::string& topology : opts.topologies) {
-    for (const noc::RoutingAlgorithm routing : opts.routings) {
+  for (const std::string& topology : args.topologies) {
+    for (const noc::RoutingAlgorithm routing : args.routings) {
       for (std::size_t app = 0; app < apps.size(); ++app) {
         for (std::uint64_t k = 0; k < num_seeds; ++k) {
-          rows.push_back(
-              SweepRow{topology, routing, app, opts.seed + k, std::nullopt});
+          rows.push_back(SweepRow{topology, routing, app,
+                                  args.explorer.seed + k, std::nullopt});
         }
       }
     }
@@ -1687,21 +1679,23 @@ int cmd_sweep(const RunOptions& opts) {
 
   // Like bench: spend the worker budget at the row level (each row derives
   // its randomness from its own seed, so the output is thread-invariant).
-  RunOptions per_row = opts;
+  core::ExplorerOptions per_row = args.explorer;
+  per_row.tech = tech;
   if (rows.size() > 1) per_row.threads = 1;
-  parallel_for_index(opts.threads, rows.size(), [&](std::size_t i) {
+  util::parallel_for_index(args.explorer.threads, rows.size(),
+                           [&](std::size_t i) {
     SweepRow& row = rows[i];
     const SweepApp& app = apps[row.app];
     const std::unique_ptr<noc::Topology> topo = noc::make_topology(
-        row.topology, app.width, app.height, topology_options(opts));
-    RunOptions run = per_row;
+        row.topology, app.width, app.height, args.topology_options);
+    core::ExplorerOptions run = per_row;
     run.seed = row.seed;
-    run.routings = {row.routing};
-    core::Explorer explorer(*app.cdcg, *topo, explorer_options(run, tech));
+    run.routing = row.routing;
+    core::Explorer explorer(*app.cdcg, *topo, run);
     row.cmp = explorer.compare();
   });
 
-  Fmt fmt(opts.csv);
+  Fmt fmt(args.csv);
   util::TextTable table({"Topology", "Routing", "Application", "Seed",
                          "Method", fmt.head("CWM Texec", "ns"),
                          fmt.head("CDCM Texec", "ns"), fmt.head("ETR", "pct"),
@@ -1724,14 +1718,14 @@ int cmd_sweep(const RunOptions& opts) {
                    fmt.percent(cmp.execution_time_reduction()),
                    fmt.percent(cmp.energy_saving())});
   }
-  print_table(table, opts.csv);
+  print_table(table, args.csv);
 
   // Per-(topology, routing) aggregates, in row order.
   util::TextTable summary({"Topology", "Routing", "Rows",
                            fmt.head("mean ETR", "pct"),
                            fmt.head("mean ECS", "pct")});
-  for (const std::string& topology : opts.topologies) {
-    for (const noc::RoutingAlgorithm routing : opts.routings) {
+  for (const std::string& topology : args.topologies) {
+    for (const noc::RoutingAlgorithm routing : args.routings) {
       double etr_sum = 0.0, ecs_sum = 0.0;
       std::uint64_t n = 0;
       for (const SweepRow& row : rows) {
@@ -1746,7 +1740,7 @@ int cmd_sweep(const RunOptions& opts) {
                        fmt.percent(ecs_sum / static_cast<double>(n))});
     }
   }
-  print_table(summary, opts.csv);
+  print_table(summary, args.csv);
   return 0;
 }
 
@@ -1757,7 +1751,7 @@ int main(int argc, char** argv) {
     std::cerr << kTopUsage;
     return 2;
   }
-  std::string sub = argv[1];
+  const std::string sub = argv[1];
   try {
     if (sub == "-h" || sub == "--help" || sub == "help") {
       std::cout << kTopUsage;
@@ -1767,42 +1761,23 @@ int main(int argc, char** argv) {
       std::cout << "nocmap 0.1.0 (Marcon et al., DATE 2005 reproduction)\n";
       return 0;
     }
-    const std::vector<std::string> explore_flags = {
-        "--workload", "--mesh",          "--tech",  "--method",  "--search",
-        "--bnb-nodes", "--routing",      "--time-budget",
-        "--topology", "--express-interval",
-        "--seed",     "--no-seed-cdcm",  "--cores", "--packets", "--bits",
-        "--threads",  "--chains",        "--cost",  "--hybrid-cadence",
-        "--ckpt-interval",
-        "--backend",  "--buffer-depth",  "--flow-control", "--switching"};
     if (sub == "explore") {
-      std::vector<std::string> flags = explore_flags;
-      flags.push_back("--seed-mapping");
-      return cmd_explore(parse_run_options(argc, argv, kExploreUsage, flags));
-    }
-    if (sub == "serve-bench") {
-      return cmd_serve_bench(argc, argv);
-    }
-    if (sub == "bench") {
-      return cmd_bench(parse_run_options(
-          argc, argv, kBenchUsage,
-          {"--noc", "--workload", "--tech", "--method", "--search",
-           "--bnb-nodes", "--routing", "--topology",
-           "--express-interval", "--seed", "--threads", "--chains", "--perf",
-           "--scale", "--time-budget",
-           "--sizes", "--out", "--cost", "--hybrid-cadence", "--ckpt-interval",
-           "--backend", "--buffer-depth", "--flow-control", "--switching"}));
-    }
-    if (sub == "workloads") {
-      return cmd_workloads(argc, argv);
+      return cmd_explore(parse_flags(
+          Command<RunArgs>{"explore", kExploreUsage, kRunFlags, kExplore},
+          argc, argv, 2));
     }
     if (sub == "sweep") {
-      std::vector<std::string> sweep_flags = explore_flags;
-      sweep_flags.push_back("--seeds");
-      sweep_flags.push_back("--noc");
-      return cmd_sweep(
-          parse_run_options(argc, argv, kSweepUsage, sweep_flags));
+      return cmd_sweep(parse_flags(
+          Command<RunArgs>{"sweep", kSweepUsage, kRunFlags, kSweep}, argc,
+          argv, 2));
     }
+    if (sub == "bench") return cmd_bench(argc, argv);
+    if (sub == "serve-bench") {
+      return cmd_serve_bench(parse_flags(
+          Command<ServeArgs>{"serve-bench", kServeBenchUsage, kServeFlags},
+          argc, argv, 2));
+    }
+    if (sub == "workloads") return cmd_workloads(argc, argv);
     throw UsageError("unknown subcommand '" + sub + "'");
   } catch (const UsageError& e) {
     std::cerr << "nocmap: " << e.what() << "\n\n"

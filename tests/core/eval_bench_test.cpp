@@ -27,7 +27,7 @@ TEST(EvalBenchTest, SaturatedPrunedCountHasNoFraction) {
   EXPECT_FALSE(saturated.bnb_pruned_frac().has_value());
 
   const std::string json = report.to_json();
-  EXPECT_NE(json.find("\"schema\": 6"), std::string::npos);
+  EXPECT_NE(json.find("\"schema\": 7"), std::string::npos);
   const std::size_t second = json.find("\"bnb_nodes_visited\": 40");
   ASSERT_NE(second, std::string::npos);
   const std::string first_row = json.substr(0, second);
@@ -38,6 +38,27 @@ TEST(EvalBenchTest, SaturatedPrunedCountHasNoFraction) {
   EXPECT_NE(second_row.find("\"bnb_pruned_saturated\": true"),
             std::string::npos);
   EXPECT_NE(second_row.find("\"bnb_pruned_frac\": null"), std::string::npos);
+}
+
+/// A row whose board was too large for the serial exhaustive reference has
+/// no es_best: the report writes null, never a -1 that reads as a cost.
+TEST(EvalBenchTest, EsBestIsNullWhenTheReferenceDidNotRun) {
+  EvalBenchReport report;
+  EvalBenchRow enumerated;
+  enumerated.bnb_nodes_visited = 7;
+  enumerated.es_best_j = 0.5;
+  EvalBenchRow skipped;
+  skipped.bnb_nodes_visited = 9;
+  report.rows = {enumerated, skipped};
+
+  const std::string json = report.to_json();
+  const std::size_t second = json.find("\"bnb_nodes_visited\": 9");
+  ASSERT_NE(second, std::string::npos);
+  EXPECT_NE(json.substr(0, second).find("\"es_best\": 0.5}"),
+            std::string::npos);
+  EXPECT_NE(json.substr(second).find("\"es_best\": null}"),
+            std::string::npos);
+  EXPECT_EQ(json.find("\"es_best\": -1"), std::string::npos);
 }
 
 }  // namespace

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <memory>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -184,6 +186,26 @@ TEST(PortfolioTest, SharedIncumbentModeStillFindsAValidResult) {
   // Racing can only start from the published greedy bar or better.
   const mapping::CwmCost cost(f.cwg, f.mesh, f.tech);
   EXPECT_LE(pr.best.best_cost, cost.cost(greedy));
+}
+
+TEST(PortfolioTest, FailingCostFactoryThrowsAtAnyThreadCount) {
+  Fixture f;
+  for (const std::uint32_t threads : {1u, 4u}) {
+    PortfolioOptions po = quick_options();
+    po.threads = threads;
+    // The first call builds the pre-race probe; the second, inside a member
+    // on the worker pool, fails.
+    std::atomic<int> calls{0};
+    const BnbCostFactory failing =
+        [&]() -> std::unique_ptr<mapping::CostFunction> {
+      if (calls.fetch_add(1) == 1) throw std::runtime_error("factory failed");
+      return std::make_unique<mapping::CwmCost>(f.cwg, f.mesh, f.tech);
+    };
+    EXPECT_THROW(portfolio(failing, f.cwg, f.mesh, noc::RoutingAlgorithm::kXY,
+                           po),
+                 std::runtime_error)
+        << "threads " << threads;
+  }
 }
 
 TEST(PortfolioTest, TimeBudgetCutIsReproducibleViaTheRecordedCheckpoint) {

@@ -244,5 +244,27 @@ TEST(ServeEngineTest, StatsAccumulateAcrossBatches) {
   EXPECT_EQ(stats.exact_hits, 1u);
 }
 
+TEST(ServeEngineTest, MalformedCallerSeedThrowsAtAnyThreadCount) {
+  const Fixture f;
+  workload::RandomCdcgParams params;
+  params.num_cores = 6;
+  params.num_packets = 24;
+  params.total_bits = 2400;
+  util::Rng rng(8);
+  const graph::Cdcg six = workload::generate_random_cdcg(params, rng);
+  const graph::Cdcg other = f.random_cdcg(9);
+  for (const std::uint32_t threads : {1u, 4u}) {
+    ServeOptions so = f.quick_options();
+    so.threads = threads;
+    ServeEngine engine(f.mesh, so);
+    // Three tiles for six cores: the Explorer rejects it inside the worker
+    // pool, next to a healthy job, and the error must reach the caller.
+    MapRequest bad{&six, {0, 1, 2}};
+    EXPECT_THROW(engine.serve({MapRequest{&other, {}}, bad}),
+                 std::invalid_argument)
+        << "threads " << threads;
+  }
+}
+
 }  // namespace
 }  // namespace nocmap::serve
