@@ -23,7 +23,6 @@
 ///   core::Comparison cmp = explorer.compare();
 ///   // cmp.execution_time_reduction(), cmp.cdcm.sim.texec_ns, ...
 
-#include "nocmap/core/eval_bench.hpp"
 #include "nocmap/core/explorer.hpp"
 #include "nocmap/core/scale_bench.hpp"
 #include "nocmap/energy/energy_model.hpp"

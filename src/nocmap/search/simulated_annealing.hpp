@@ -50,8 +50,7 @@ struct SaOptions {
   /// advertises one (CostFunction::has_swap_delta). The running cost is
   /// resynchronized with a full evaluation at every temperature step to
   /// bound floating-point drift. Disable to force full re-evaluation of
-  /// every move (reference behaviour; also what bench_cost_eval measures
-  /// as the baseline).
+  /// every move (the reference behaviour the delta tests compare against).
   bool use_swap_delta = true;
   /// Stop at the first temperature-step boundary where at least this many
   /// ladder moves have been priced (calibration samples excluded); 0 means

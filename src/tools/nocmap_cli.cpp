@@ -19,7 +19,6 @@
 /// success, 1 on a runtime failure, 2 on a usage error.
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <exception>
@@ -36,46 +35,7 @@
 #include <utility>
 #include <vector>
 
-#include <new>
-
 #include "nocmap/nocmap.hpp"
-
-// --- Global allocation probe -------------------------------------------------
-// Counts every heap allocation in the process so `nocmap bench --perf` can
-// report a real cdcm_allocs_per_run ("alloc_probe": "counted") instead of
-// declaring the probe unavailable. Mirrors bench/bench_cost_eval.cpp.
-
-namespace {
-std::atomic<std::uint64_t> g_cli_allocations{0};
-std::uint64_t cli_allocation_count() {
-  return g_cli_allocations.load(std::memory_order_relaxed);
-}
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_cli_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-// The nothrow forms too (std::stable_sort's buffer uses them): otherwise
-// they would come from the default allocator and be freed by the
-// replacements below, which sanitizers report as a mismatch.
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  g_cli_allocations.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(size ? size : 1);
-}
-void* operator new[](std::size_t size, const std::nothrow_t& tag) noexcept {
-  return ::operator new(size, tag);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete[](void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
-}
 
 namespace {
 
@@ -96,8 +56,8 @@ Subcommands:
               (Equation 10) objectives and compare both mappings with the
               ground-truth wormhole simulator (ETR / ECS).
   bench       Run the paper's 18-application Table-1 suite and print
-              Table-2-style ETR/ECS rows; `bench --perf` and `bench --scale`
-              run the evaluation-engine and portfolio benchmarks instead.
+              Table-2-style ETR/ECS rows; `bench --scale` runs the
+              portfolio benchmark instead.
   workloads   List, convert, generate and validate workloads.
   sweep       Repeat explore over a range of seeds and aggregate.
   serve-bench Replay a randomized request stream (with controllable
@@ -132,24 +92,13 @@ application, seed) plus per-combination aggregates.
 )";
 
 constexpr const char* kBenchUsage =
-    R"(Usage: nocmap bench [--perf | --scale] [options]
+    R"(Usage: nocmap bench [--scale] [options]
 
 Run the full Table-1 suite (or one NoC size of it) through the Explorer and
-print one ETR/ECS row per application — the reproduction of Table 2. Two
-modes run a benchmark instead, each with its own options:
+print one ETR/ECS row per application — the reproduction of Table 2. One
+mode runs a benchmark instead, with its own options:
 
-  --perf    the evaluation-engine microbenchmark (`nocmap bench --perf --help`)
   --scale   the paper-scale portfolio benchmark (`nocmap bench --scale --help`)
-)";
-
-constexpr const char* kBenchPerfUsage =
-    R"(Usage: nocmap bench --perf [options]
-
-Measure the evaluation engine (CWM full vs delta, the CDCM ladder: one-shot /
-arena / swap-delta / checkpointed / batch x threads / hybrid, and a
-branch-and-bound row) on a ladder of grid sizes and write the JSON report
-(docs/bench-format.md). Quick budgets: this doubles as the CI smoke step;
-the full-budget run is the bench_cost_eval binary.
 )";
 
 constexpr const char* kBenchScaleUsage =
@@ -375,7 +324,7 @@ struct Flag {
 /// One verb or mode: the entries of `table` whose verbs include `verb`.
 template <class Args>
 struct Command {
-  std::string name;     ///< As messages spell it: "bench --perf".
+  std::string name;     ///< As messages spell it: "bench --scale".
   const char* summary;  ///< The hand-written head of its --help.
   const std::vector<Flag<Args>>& table;
   unsigned verb = kAllVerbs;
@@ -710,71 +659,6 @@ const std::vector<Flag<RunArgs>> kRunFlags = {
      },
      kExplore},
     csv_flag<RunArgs>(),
-};
-
-// --- bench --perf ------------------------------------------------------------
-
-/// core::EvalBenchOptions at quick budgets: this entry point doubles as the
-/// CI smoke step. The full-budget run is the bench_cost_eval binary.
-struct PerfArgs {
-  core::EvalBenchOptions bench;
-  std::string out = "BENCH_eval.json";
-  bool csv = false;
-
-  PerfArgs() {
-    bench.min_time_s = 0.05;
-    // The 3x3/4x4 exact searches finish far below this budget (the 4x4
-    // bench instance needs ~36k tests), and the larger boards just report a
-    // truncated run without stalling the smoke.
-    bench.bnb_max_nodes = 100'000;
-    bench.batch_threads = 2;
-    bench.alloc_count = &cli_allocation_count;
-  }
-};
-
-const std::vector<Flag<PerfArgs>> kPerfFlags = {
-    {"--perf", "", "Select this mode.", [](PerfArgs&, Value) {}},
-    {"--sizes", "LIST",
-     "Comma-separated grid sizes WxH (default: 3x3,4x4,...,8x8,10x10,"
-     "12x10).",
-     [](PerfArgs& a, Value v) { append_sizes(a.bench.sizes, v); }},
-    {"--topology", "NAME",
-     "NoC topology of every row: mesh | torus | xmesh (default: mesh).",
-     [](PerfArgs& a, Value v) { a.bench.topology = parse_topology(v); }},
-    {"--express-interval", "N",
-     "xmesh express-link spacing, k >= 2 (default: 2).",
-     [](PerfArgs& a, Value v) {
-       a.bench.express_interval = parse_uint<std::uint32_t>(v, 2, 1'000'000);
-     },
-     kAllVerbs, "--topology xmesh",
-     [](const PerfArgs& a) { return a.bench.topology == "xmesh"; }},
-    {"--seed", "N", "Workload and move-sequence seed (default: 1).",
-     [](PerfArgs& a, Value v) { a.bench.seed = parse_uint(v); }},
-    {"--threads", "N",
-     "Thread count T of the CDCM batch row, run with at least 2 (default: "
-     "1).",
-     [](PerfArgs& a, Value v) {
-       a.bench.batch_threads =
-           std::max(2u, parse_uint<std::uint32_t>(v, 1, 1024));
-     }},
-    {"--bnb-nodes", "N",
-     "Node budget of each row's branch-and-bound search (default: "
-     "100,000).",
-     [](PerfArgs& a, Value v) { a.bench.bnb_max_nodes = parse_uint(v, 1); }},
-    {"--hybrid-cadence", "N",
-     "CDCM verification cadence of the hybrid row (default: 8).",
-     [](PerfArgs& a, Value v) {
-       a.bench.hybrid_cadence = parse_uint<std::uint32_t>(v, 0, 1'000'000);
-     }},
-    {"--ckpt-interval", "N",
-     "Snapshot cadence in event pops of the checkpointed rows (default: 0 "
-     "= auto).",
-     [](PerfArgs& a, Value v) {
-       a.bench.ckpt_interval = parse_uint<std::uint32_t>(v, 0, 1'000'000'000);
-     }},
-    {"--out", "FILE", "Report path (default: BENCH_eval.json).",
-     [](PerfArgs& a, Value v) { a.out = v; }},
-    csv_flag<PerfArgs>(),
 };
 
 // --- bench --scale -----------------------------------------------------------
@@ -1191,54 +1075,6 @@ int cmd_explore(const RunArgs& args) {
   return 0;
 }
 
-int cmd_bench_perf(PerfArgs args) {
-  core::EvalBenchOptions& options = args.bench;
-  if (options.sizes.empty()) {
-    // The quick CLI ladder: the library's square 3x3..8x8 default plus the
-    // paper's two large boards. run_eval_bench caps the B&B node budget
-    // past 64 tiles, so these rows stay smoke-test cheap. (The full-budget
-    // bench_cost_eval binary keeps the historical square ladder.)
-    for (std::uint32_t side = 3; side <= 8; ++side) {
-      options.sizes.emplace_back(side, side);
-    }
-    options.sizes.emplace_back(10, 10);
-    options.sizes.emplace_back(12, 10);
-  }
-  const core::EvalBenchReport report = core::run_eval_bench(options);
-
-  Fmt fmt(args.csv);
-  const std::string batch_t =
-      "CDCM batch x" + std::to_string(options.batch_threads);
-  util::TextTable table(
-      {"NoC", "Cores", fmt.head("CWM legacy", "eval_s"),
-       fmt.head("CWM delta", "eval_s"),
-       fmt.head("CDCM 1-shot", "eval_s"), fmt.head("CDCM reuse", "eval_s"),
-       fmt.head("CDCM delta", "eval_s"), fmt.head("CDCM ckpt", "eval_s"),
-       fmt.head(batch_t, "eval_s"),
-       fmt.head("Hybrid", "eval_s"), fmt.head("B&B pruned", "pct"),
-       "B&B done"});
-  table.set_title("nocmap bench --perf — evaluations/second, " +
-                  options.topology);
-  const auto rate = [&](double per_s) {
-    return fmt.count(static_cast<std::uint64_t>(per_s));
-  };
-  for (const core::EvalBenchRow& r : report.rows) {
-    table.add_row({std::to_string(r.mesh_width) + "x" +
-                       std::to_string(r.mesh_height),
-                   std::to_string(r.num_cores), rate(r.cwm_legacy_per_s),
-                   rate(r.cwm_delta_per_s), rate(r.cdcm_oneshot_per_s),
-                   rate(r.cdcm_reuse_per_s), rate(r.cdcm_delta_per_s),
-                   rate(r.cdcm_ckpt_per_s), rate(r.cdcm_batch_t_per_s),
-                   rate(r.hybrid_per_s),
-                   r.bnb_pruned_saturated() ? ""
-                                            : fmt.percent(*r.bnb_pruned_frac()),
-                   r.bnb_complete ? "yes" : "no"});
-  }
-  print_table(table, args.csv);
-  write_report(args.out, report.to_json());
-  return 0;
-}
-
 int cmd_bench_scale(ScaleArgs args) {
   core::ScaleBenchOptions& options = args.bench;
   if (args.workload) {
@@ -1343,23 +1179,11 @@ int cmd_bench_suite(const RunArgs& args) {
   return 0;
 }
 
-/// `bench` runs the suite; --perf and --scale select a benchmark mode with
-/// its own flag table.
+/// `bench` runs the suite; --scale selects the benchmark mode with its own
+/// flag table.
 int cmd_bench(int argc, char** argv) {
-  const auto given = [&](const char* flag) {
-    return std::find(argv + 2, argv + argc, std::string(flag)) != argv + argc;
-  };
-  const bool perf = given("--perf");
-  const bool scale = given("--scale");
-  if (perf && scale) {
-    throw UsageError("--perf and --scale are mutually exclusive");
-  }
-  if (perf) {
-    return cmd_bench_perf(parse_flags(
-        Command<PerfArgs>{"bench --perf", kBenchPerfUsage, kPerfFlags},
-        argc, argv, 2));
-  }
-  if (scale) {
+  if (std::find(argv + 2, argv + argc, std::string("--scale")) !=
+      argv + argc) {
     return cmd_bench_scale(parse_flags(
         Command<ScaleArgs>{"bench --scale", kBenchScaleUsage, kScaleFlags},
         argc, argv, 2));

@@ -107,6 +107,12 @@ TEST(BranchAndBoundTest, ByteIdenticalForAnyThreadCount) {
   options.threads = 4;
   const SearchResult r4 = branch_and_bound(factory, *topo, options);
   EXPECT_TRUE(r1.exhausted);
+  // The bound's floor on a 16-core board: at least 90 % of the enumeration
+  // tree is cut away without being expanded.
+  const std::optional<double> pruned =
+      pruned_fraction(r1.nodes_visited, r1.nodes_pruned);
+  ASSERT_TRUE(pruned.has_value());
+  EXPECT_GE(*pruned, 0.90);
   EXPECT_EQ(r1.best_cost, r4.best_cost);
   EXPECT_EQ(r1.best, r4.best);
   // Not just the result: every counter is thread-invariant (tasks prune
@@ -213,6 +219,16 @@ TEST(BranchAndBoundTest, CallerIncumbentIsUsed) {
   EXPECT_TRUE(r.exhausted);
   EXPECT_EQ(r.best_cost, es.best_cost);
   EXPECT_EQ(r.initial_cost, es.best_cost);
+}
+
+/// A budget-truncated search on a big board eliminates more nodes than the
+/// counter holds. A saturated count has no fraction, instead of reading as
+/// "100 % pruned".
+TEST(BranchAndBoundTest, PrunedFractionIsEmptyWhenSaturated) {
+  EXPECT_FALSE(pruned_fraction(40, kNodesPrunedSaturated).has_value());
+  const std::optional<double> exact = pruned_fraction(109, 986313);
+  ASSERT_TRUE(exact.has_value());
+  EXPECT_DOUBLE_EQ(*exact, 986313.0 / 986422.0);
 }
 
 TEST(BranchAndBoundTest, CountsAreConsistent) {

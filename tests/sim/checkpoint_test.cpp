@@ -108,6 +108,15 @@ TEST(CheckpointEquivalence, RandomWalksBitwiseEqualFullResim) {
         EXPECT_EQ(st.runs, 50u);
         EXPECT_GT(st.pops_total, 0u);
         EXPECT_LE(st.replay_frac(), 1.0);
+        // Fine cadences price swaps from mid-schedule restores, beyond the
+        // 7 identity re-evaluations that even interval 2^30 restores.
+        if (interval == 1 || interval == 7) {
+          const std::string context = std::string(kind) + " interval=" +
+                                      std::to_string(interval) + " seed=" +
+                                      std::to_string(seed);
+          EXPECT_GT(st.restored_runs, 7u) << context;
+          EXPECT_LT(st.replay_frac(), 1.0) << context;
+        }
       }
     }
   }

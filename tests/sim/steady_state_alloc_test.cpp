@@ -1,0 +1,135 @@
+/// \file steady_state_alloc_test.cpp
+/// The evaluation hot paths allocate nothing in the steady state: once a
+/// warm-up has grown the arenas, Simulator::run() and the CdcmCost
+/// swap_delta + apply_swap pair price a move without touching the heap,
+/// under the link-claim backend and under the flit backend.
+///
+/// The binary replaces the global allocation functions with counting
+/// versions, which is why it is a test executable of its own. The nothrow
+/// forms are replaced too (std::stable_sort's buffer comes from them):
+/// otherwise they would come from the default allocator and be freed by the
+/// replacements below, which sanitizers report as a mismatch.
+
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstdint>
+#include <cstdlib>
+#include <memory>
+#include <new>
+#include <string>
+
+#include "nocmap/energy/technology.hpp"
+#include "nocmap/graph/cdcg.hpp"
+#include "nocmap/mapping/cost.hpp"
+#include "nocmap/mapping/mapping.hpp"
+#include "nocmap/noc/topology.hpp"
+#include "nocmap/sim/simulator.hpp"
+#include "nocmap/util/rng.hpp"
+#include "nocmap/workload/random_cdcg.hpp"
+
+namespace {
+std::atomic<std::uint64_t> g_allocations{0};
+}  // namespace
+
+void* operator new(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size ? size : 1)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t size) { return ::operator new(size); }
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size ? size : 1);
+}
+void* operator new[](std::size_t size, const std::nothrow_t& tag) noexcept {
+  return ::operator new(size, tag);
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+
+namespace nocmap {
+namespace {
+
+constexpr int kWarmupMoves = 256;
+constexpr int kCountedMoves = 256;
+
+/// One core per tile and four 256-bit packets per core, seed 1.
+graph::Cdcg bench_workload(const noc::Topology& topo) {
+  workload::RandomCdcgParams params;
+  params.num_cores = topo.num_tiles();
+  params.num_packets = topo.num_tiles() * 4;
+  params.total_bits = static_cast<std::uint64_t>(params.num_packets) * 256;
+  util::Rng rng(1);
+  return workload::generate_random_cdcg(params, rng);
+}
+
+/// Heap allocations made by kCountedMoves calls of `move`, after
+/// kWarmupMoves uncounted calls have grown every buffer it uses.
+template <class Move>
+std::uint64_t steady_state_allocations(Move&& move) {
+  for (int i = 0; i < kWarmupMoves; ++i) move();
+  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  for (int i = 0; i < kCountedMoves; ++i) move();
+  return g_allocations.load(std::memory_order_relaxed) - before;
+}
+
+/// The 3x3 and 8x8 meshes, under link-claim and under flit with 8-flit
+/// buffers: a random swap walk priced by Simulator::run() and by the
+/// CdcmCost swap_delta + apply_swap pair.
+TEST(SteadyStateAllocTest, PricingAMoveAllocatesNothing) {
+  const energy::Technology tech = energy::technology_0_07u();
+  for (const std::uint32_t side : {3u, 8u}) {
+    for (const bool flit : {false, true}) {
+      SCOPED_TRACE(std::to_string(side) + "x" + std::to_string(side) +
+                   (flit ? " flit" : " link-claim"));
+      const std::unique_ptr<noc::Topology> topo =
+          noc::make_topology("mesh", side, side);
+      const graph::Cdcg cdcg = bench_workload(*topo);
+      sim::SimOptions options;
+      options.record_traces = false;
+      if (flit) {
+        options.backend = sim::SimBackend::kFlit;
+        options.buffer_depth = 8;
+      }
+      util::Rng rng(2);
+      const auto draw_swap = [&](noc::TileId& a, noc::TileId& b) {
+        a = static_cast<noc::TileId>(rng.index(topo->num_tiles()));
+        do {
+          b = static_cast<noc::TileId>(rng.index(topo->num_tiles()));
+        } while (b == a);
+      };
+
+      sim::Simulator simulator(cdcg, *topo, tech, options);
+      mapping::Mapping m(*topo, cdcg.num_cores());
+      EXPECT_EQ(steady_state_allocations([&] {
+                  noc::TileId a, b;
+                  draw_swap(a, b);
+                  m.swap_tiles(a, b);
+                  simulator.run(m);
+                }),
+                0u)
+          << "Simulator::run";
+
+      const mapping::CdcmCost cost(cdcg, *topo, tech,
+                                   noc::RoutingAlgorithm::kXY, options);
+      EXPECT_EQ(steady_state_allocations([&] {
+                  noc::TileId a, b;
+                  draw_swap(a, b);
+                  cost.swap_delta(m, a, b);
+                  cost.apply_swap(m, a, b);
+                }),
+                0u)
+          << "CdcmCost::swap_delta + apply_swap";
+    }
+  }
+}
+
+}  // namespace
+}  // namespace nocmap
