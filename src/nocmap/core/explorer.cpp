@@ -1,16 +1,12 @@
 #include "nocmap/core/explorer.hpp"
 
 #include "nocmap/search/greedy.hpp"
-#include "nocmap/sim/batch_evaluator.hpp"
+#include "nocmap/util/parallel.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cstddef>
-#include <exception>
-#include <mutex>
 #include <optional>
 #include <stdexcept>
-#include <thread>
 #include <vector>
 
 namespace nocmap::core {
@@ -77,52 +73,27 @@ search::SearchResult Explorer::run_sa_chains(
   const std::uint32_t chains = std::max<std::uint32_t>(1, options_.sa_chains);
   std::vector<std::optional<search::SearchResult>> results(chains);
 
-  // Each *worker* builds one cost function and reuses it for every chain it
-  // claims (anneal() calls begin_search(), and cost values are pure
-  // functions of the mapping, so a reused object is indistinguishable from
-  // a fresh one). This amortizes the arena/route-table construction of
-  // CdcmCost across chains instead of paying it per chain.
   search::SaOptions sa = options_.sa;
   if (options_.time_budget_ms > 0.0) {
     sa.time_budget_ms = options_.time_budget_ms;  // Per chain.
   }
   if (options_.cancel) sa.cancel = options_.cancel;
-  auto run_chain = [&](std::uint32_t chain, mapping::CostFunction& cost) {
-    util::Rng rng = chain_rng(options_.seed, chain);
-    results[chain] = search::anneal(cost, topo_, rng, sa, sa_initial);
-  };
-
-  const std::uint32_t workers =
-      std::min(std::max<std::uint32_t>(1, options_.threads), chains);
-  if (workers <= 1) {
-    const std::unique_ptr<mapping::CostFunction> cost = make_cost();
-    for (std::uint32_t chain = 0; chain < chains; ++chain) {
-      run_chain(chain, *cost);
-    }
-  } else {
-    std::atomic<std::uint32_t> next{0};
-    std::mutex error_mutex;
-    std::exception_ptr first_error;
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (std::uint32_t w = 0; w < workers; ++w) {
-      pool.emplace_back([&] {
-        try {
-          const std::unique_ptr<mapping::CostFunction> cost = make_cost();
-          for (;;) {
-            const std::uint32_t chain = next.fetch_add(1);
-            if (chain >= chains) return;
-            run_chain(chain, *cost);
-          }
-        } catch (...) {
-          const std::lock_guard<std::mutex> lock(error_mutex);
-          if (!first_error) first_error = std::current_exception();
-        }
+  // Each *worker* builds one cost function on its first chain and reuses it
+  // for every chain it claims (anneal() calls begin_search(), and cost
+  // values are pure functions of the mapping, so a reused object is
+  // indistinguishable from a fresh one). This amortizes the
+  // arena/route-table construction of CdcmCost across chains instead of
+  // paying it per chain.
+  std::vector<std::unique_ptr<mapping::CostFunction>> costs(
+      util::worker_count(options_.threads, chains));
+  util::parallel_for_index(
+      options_.threads, chains, [&](std::size_t worker, std::size_t chain) {
+        if (!costs[worker]) costs[worker] = make_cost();
+        util::Rng rng =
+            chain_rng(options_.seed, static_cast<std::uint32_t>(chain));
+        results[chain] =
+            search::anneal(*costs[worker], topo_, rng, sa, sa_initial);
       });
-    }
-    for (std::thread& t : pool) t.join();
-    if (first_error) std::rethrow_exception(first_error);
-  }
 
   // Best of N; ties break to the lowest chain index, so the winner depends
   // only on (seed, chains). Evaluations aggregate the whole ensemble's work.
@@ -137,27 +108,6 @@ search::SearchResult Explorer::run_sa_chains(
   search::SearchResult best = std::move(*results[winner]);
   best.evaluations = total_evaluations;
   return best;
-}
-
-search::SearchResult Explorer::run_batched_exhaustive(
-    const CostFactory& make_cost) const {
-  // The CDCM objective is a pure function of the mapping, so the search
-  // reduces to pricing every enumerated placement — exactly the shape
-  // sim::BatchEvaluator parallelizes. Enumeration-order reduction keeps the
-  // outcome byte-identical to the serial engine for every thread count.
-  // The enumeration collapses by the objective's own symmetry group.
-  const std::vector<std::vector<noc::TileId>> group =
-      options_.es.use_symmetry ? make_cost()->symmetry_group(topo_)
-                               : std::vector<std::vector<noc::TileId>>{};
-  sim::SimOptions so = sim_options();
-  so.record_traces = false;
-  sim::BatchEvaluator evaluator(cdcg_, topo_, options_.tech, so,
-                                std::max<std::uint32_t>(1, options_.threads));
-  return search::exhaustive_search_batched(
-      cdcg_.num_cores(), topo_,
-      [&](const mapping::Mapping* mappings, std::size_t count,
-          double* costs) { evaluator.evaluate_costs(mappings, count, costs); },
-      group, options_.es, std::max<std::uint32_t>(1, options_.es_batch_size));
 }
 
 search::SearchResult Explorer::run_branch_and_bound(
@@ -202,7 +152,7 @@ search::SearchResult Explorer::run_portfolio(const CostFactory& make_cost,
 }
 
 ModelOutcome Explorer::run(const CostFactory& make_cost,
-                           const std::string& model, bool timing_model,
+                           const std::string& model,
                            const mapping::Mapping* sa_initial) const {
   // An explicit per-call incumbent (the CWM winner under seed_cdcm_with_cwm)
   // outranks the options-level seed mapping; both flow through the same
@@ -220,12 +170,9 @@ ModelOutcome Explorer::run(const CostFactory& make_cost,
     if (bnb) return run_branch_and_bound(make_cost, sa_initial);
     if (pf) return run_portfolio(make_cost, sa_initial, pf_info);
     if (exhaustive) {
-      // The timing-aware objectives (CDCM, and hybrid — whose cost() IS
-      // the CDCM objective) go through the batch evaluator; CWM keeps the
-      // cheap serial engine.
-      if (timing_model) return run_batched_exhaustive(make_cost);
-      const std::unique_ptr<mapping::CostFunction> cost = make_cost();
-      return search::exhaustive_search(*cost, topo_, options_.es);
+      search::EsOptions es = options_.es;
+      es.threads = options_.threads;
+      return search::exhaustive_search(make_cost, topo_, es);
     }
     return run_sa_chains(make_cost, sa_initial);
   }();
@@ -278,12 +225,11 @@ ModelOutcome Explorer::optimize_cwm() const {
         return std::make_unique<mapping::CwmCost>(cwg_, topo_, options_.tech,
                                                   options_.routing);
       },
-      "CWM", /*timing_model=*/false);
+      "CWM");
 }
 
 ModelOutcome Explorer::optimize_cdcm() const {
-  return run(timing_cost_factory(), timing_model_name(),
-             /*timing_model=*/true);
+  return run(timing_cost_factory(), timing_model_name());
 }
 
 Explorer::CostFactory Explorer::timing_cost_factory() const {
@@ -306,8 +252,8 @@ Comparison Explorer::compare() const {
   if (!options_.seed_cdcm_with_cwm) {
     return Comparison{std::move(cwm), optimize_cdcm()};
   }
-  ModelOutcome cdcm = run(timing_cost_factory(), timing_model_name(),
-                          /*timing_model=*/true, &cwm.mapping);
+  ModelOutcome cdcm =
+      run(timing_cost_factory(), timing_model_name(), &cwm.mapping);
   return Comparison{std::move(cwm), std::move(cdcm)};
 }
 

@@ -17,8 +17,6 @@
 /// were applied, depending on the NoC size").
 
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -44,9 +42,9 @@ enum class SearchMethod {
   /// (annealing quality) when the node budget runs out.
   kBranchAndBound,
   /// Racing portfolio (search::portfolio): SA chains x cooling schedules x
-  /// move sets plus a budgeted B&B member over one shared incumbent,
-  /// greedy-seeded. The paper-scale engine for boards too large for exact
-  /// search. Deterministic for any thread count.
+  /// move sets plus a budgeted B&B member, all greedy-seeded. The
+  /// paper-scale engine for boards too large for exact search.
+  /// Deterministic for any thread count.
   kPortfolio,
 };
 
@@ -63,6 +61,8 @@ struct ExplorerOptions {
   noc::RoutingAlgorithm routing = noc::RoutingAlgorithm::kXY;
   SearchMethod method = SearchMethod::kAuto;
   search::SaOptions sa;
+  /// Exhaustive search: symmetry pruning and budget. The threads field is
+  /// filled in per run from `threads`.
   search::EsOptions es;
   /// kBranchAndBound: node budget, shard depth, symmetry collapse. The
   /// seed/threads/sa fields and the incumbent are filled in per run (the
@@ -92,12 +92,12 @@ struct ExplorerOptions {
   /// (seed, i). The lowest-cost chain wins, ties broken by chain index, so
   /// the outcome depends only on (seed, sa_chains), never on `threads`.
   std::uint32_t sa_chains = 1;
-  /// Worker threads running the SA chains, the CDCM exhaustive-search
-  /// shards (via sim::BatchEvaluator), and available to callers like the
-  /// CLI bench for application-level parallelism. Each worker owns its
-  /// cost function / simulator arena, so no evaluation state is shared.
-  /// Purely a throughput knob: results are identical for any value. 0 is
-  /// treated as 1.
+  /// Worker threads (util::parallel_for_index) running the SA chains, the
+  /// exhaustive-search shards (CWM, CDCM and hybrid), the branch-and-bound
+  /// subtree tasks and the portfolio members, and available to callers like
+  /// the CLI bench for application-level parallelism. Each worker owns its
+  /// cost function, so no evaluation state is shared. Purely a throughput
+  /// knob: results are identical for any value. 0 is treated as 1.
   std::uint32_t threads = 1;
   /// Objective for optimize_cdcm(): pure CDCM (the default, the paper's
   /// flow) or the hybrid CWM->CDCM mode.
@@ -106,8 +106,6 @@ struct ExplorerOptions {
   /// (1 = every move, i.e. pure CDCM pricing; 0 = never, step resyncs
   /// only).
   std::uint32_t hybrid_cadence = 8;
-  /// Shard size for batched CDCM exhaustive search.
-  std::uint32_t es_batch_size = 1024;
   /// Evaluation backend for the timing-aware model and the ground-truth
   /// comparison (docs/simulation.md): the link-claim model (the paper's,
   /// the default) or the flit-accurate model with finite buffers. The CWM
@@ -208,13 +206,9 @@ class Explorer {
   const graph::Cwg& cwg() const { return cwg_; }
 
  private:
-  /// Builds one cost-function instance per search worker (cost functions own
-  /// mutable evaluation arenas and are not shared across threads).
-  using CostFactory =
-      std::function<std::unique_ptr<mapping::CostFunction>()>;
+  using CostFactory = search::CostFactory;
 
   ModelOutcome run(const CostFactory& make_cost, const std::string& model,
-                   bool timing_model,
                    const mapping::Mapping* sa_initial = nullptr) const;
   /// Deterministic digest of a portfolio run, copied into ModelOutcome.
   struct PortfolioSummary {
@@ -229,10 +223,6 @@ class Explorer {
                                      PortfolioSummary& summary) const;
   search::SearchResult run_sa_chains(const CostFactory& make_cost,
                                      const mapping::Mapping* sa_initial) const;
-  /// CDCM/hybrid exhaustive search, sharded over a sim::BatchEvaluator and
-  /// collapsed by the symmetry group of the objective `make_cost` builds.
-  search::SearchResult run_batched_exhaustive(
-      const CostFactory& make_cost) const;
   /// Branch and bound with a greedy (or `incumbent`-provided) + SA seed.
   search::SearchResult run_branch_and_bound(
       const CostFactory& make_cost, const mapping::Mapping* incumbent) const;

@@ -76,7 +76,7 @@ class Mapping {
 
   /// Re-point this mapping at an explicit assignment (same validation as
   /// from_assignment), reusing the existing storage — the allocation-free
-  /// path batched exhaustive search uses to materialize candidates.
+  /// path exhaustive search uses to materialize candidates.
   void set_assignment(const std::vector<noc::TileId>& core_to_tile);
 
   /// Internal consistency check (bijectivity between cores and their tiles).

@@ -46,7 +46,6 @@
 #include "nocmap/serve/engine.hpp"
 #include "nocmap/serve/result_cache.hpp"
 #include "nocmap/serve/serve_bench.hpp"
-#include "nocmap/sim/batch_evaluator.hpp"
 #include "nocmap/sim/schedule.hpp"
 #include "nocmap/sim/simulator.hpp"
 #include "nocmap/sim/timeline.hpp"

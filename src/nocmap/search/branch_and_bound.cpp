@@ -3,15 +3,13 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <exception>
 #include <limits>
-#include <mutex>
 #include <numeric>
 #include <optional>
 #include <stdexcept>
-#include <thread>
 #include <vector>
 
+#include "nocmap/util/parallel.hpp"
 #include "nocmap/util/rng.hpp"
 
 namespace nocmap::search {
@@ -28,9 +26,9 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 /// < 1e-9 relative costs nothing measurable.
 constexpr double kBoundSlack = 1e-9;
 
-/// What one subtree task reports. Tasks never share mutable state (unless
-/// share_incumbent opts in), so the aggregate over tasks is byte-identical
-/// for any thread count.
+/// What one subtree task reports. Tasks share no mutable state but the node
+/// budget, so the aggregate over tasks of a completed search is
+/// byte-identical for any thread count.
 struct ShardOutcome {
   double best_cost = kInf;
   std::vector<noc::TileId> best;  ///< Core -> tile; empty when none found.
@@ -64,7 +62,6 @@ struct SearchPlan {
   std::vector<std::vector<noc::TileId>> prefixes;  ///< One per subtree task.
   double incumbent_cost = kInf;           ///< Seeded incumbent (SA/greedy).
   std::uint64_t max_nodes = 0;
-  bool share_incumbent = false;
   const CancelToken* cancel = nullptr;
   /// eliminated[level]: nodes of the subtree rooted at a placement of
   /// order[level] (itself included) — what a failing bound test at that
@@ -108,23 +105,11 @@ std::vector<noc::TileId> orbit_minima(
   return minima;
 }
 
-/// Mutable coordination between workers.
+/// Mutable coordination between workers: the node budget.
 struct SearchState {
-  std::atomic<std::uint64_t> next_task{0};
   std::atomic<std::uint64_t> nodes{0};     ///< Global bound-test counter.
   std::atomic<bool> truncated{false};
-  /// Best leaf cost published by any task; read for pruning only when
-  /// share_incumbent. Updated with a CAS loop (atomic<double> has no
-  /// fetch_min in C++17).
-  std::atomic<double> shared_best{kInf};
 };
-
-void publish_best(std::atomic<double>& shared, double cost) {
-  double seen = shared.load(std::memory_order_relaxed);
-  while (cost < seen &&
-         !shared.compare_exchange_weak(seen, cost, std::memory_order_relaxed)) {
-  }
-}
 
 /// One worker's private search machinery.
 class ShardRunner {
@@ -154,12 +139,7 @@ class ShardRunner {
 
  private:
   double prune_limit() const {
-    double limit = incumbent_;
-    if (plan_.share_incumbent) {
-      limit = std::min(limit,
-                       state_.shared_best.load(std::memory_order_relaxed));
-    }
-    return limit + kBoundSlack * std::abs(limit);
+    return incumbent_ + kBoundSlack * std::abs(incumbent_);
   }
 
   /// True when the node survives the bound test and, at full depth, the
@@ -221,7 +201,6 @@ class ShardRunner {
       out_.best = assignment_;
     }
     if (c < incumbent_) incumbent_ = c;
-    publish_best(state_.shared_best, c);
   }
 
   void replay(const std::vector<noc::TileId>& prefix, std::size_t level) {
@@ -342,7 +321,6 @@ SearchResult run_search(const mapping::CostFunction& setup_cost,
                            : std::vector<std::vector<noc::TileId>>{},
       num_tiles);
   plan.max_nodes = options.max_nodes;
-  plan.share_incumbent = options.share_incumbent;
   plan.cancel = options.cancel;
 
   // Placement order: heaviest communicators first (ties by core id), so
@@ -390,43 +368,25 @@ SearchResult run_search(const mapping::CostFunction& setup_cost,
 
   SearchState state;
   std::vector<ShardOutcome> outcomes(plan.prefixes.size());
-
-  const std::uint32_t workers = static_cast<std::uint32_t>(std::min<std::uint64_t>(
-      factory ? std::max<std::uint32_t>(1, options.threads) : 1,
-      std::max<std::size_t>(plan.prefixes.size(), 1)));
-
-  const auto work = [&](const mapping::CostFunction& cost) {
-    ShardRunner runner(cost, plan, state);
-    for (;;) {
-      const std::uint64_t k =
-          state.next_task.fetch_add(1, std::memory_order_relaxed);
-      if (k >= plan.prefixes.size()) return;
-      outcomes[k] = runner.run(plan.prefixes[k]);
-      if (state.truncated.load(std::memory_order_relaxed)) return;
-    }
-  };
-
-  if (workers <= 1) {
-    work(setup_cost);
-  } else {
-    std::mutex error_mutex;
-    std::exception_ptr first_error;
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (std::uint32_t w = 0; w < workers; ++w) {
-      pool.emplace_back([&] {
-        try {
-          const std::unique_ptr<mapping::CostFunction> cost = (*factory)();
-          work(*cost);
-        } catch (...) {
-          const std::lock_guard<std::mutex> lock(error_mutex);
-          if (!first_error) first_error = std::current_exception();
+  // Worker 0 searches on setup_cost; the others build their cost function
+  // and runner on their first task. A task claimed after the budget ran out
+  // is skipped, as the one-worker loop would skip it.
+  const std::size_t threads =
+      factory ? std::max<std::uint32_t>(1, options.threads) : 1;
+  const std::size_t workers =
+      util::worker_count(threads, plan.prefixes.size());
+  std::vector<std::unique_ptr<mapping::CostFunction>> costs(workers);
+  std::vector<std::optional<ShardRunner>> runners(workers);
+  util::parallel_for_index(
+      threads, plan.prefixes.size(), [&](std::size_t worker, std::size_t k) {
+        if (state.truncated.load(std::memory_order_relaxed)) return;
+        if (!runners[worker]) {
+          if (worker != 0) costs[worker] = (*factory)();
+          runners[worker].emplace(worker == 0 ? setup_cost : *costs[worker],
+                                  plan, state);
         }
+        outcomes[k] = runners[worker]->run(plan.prefixes[k]);
       });
-    }
-    for (std::thread& t : pool) t.join();
-    if (first_error) std::rethrow_exception(first_error);
-  }
 
   // --- Deterministic reduction, in task order -------------------------------
   const std::vector<noc::TileId>* tree_best = nullptr;

@@ -29,18 +29,15 @@
 ///    from a caller-provided mapping such as a greedy construction), so
 ///    pruning bites from the first node.
 ///  * Parallel shard scheduler: the tree is split at `shard_depth` into
-///    independent subtree tasks claimed by a worker pool; improvements are
-///    published to an atomic shared incumbent. Whenever the search
-///    completes within its node budget, the result — best mapping, cost,
-///    and all counters — is byte-identical for every thread count: each
-///    task prunes against the seeded incumbent plus its own discoveries
-///    (ties among equal-cost optima broken by lexicographic assignment),
-///    and the shared incumbent is only read for pruning when
-///    `share_incumbent` opts into the faster, counter-nondeterministic
-///    mode (the completed *result* stays deterministic even then). A
-///    budget-truncated run is the exception: the global budget is consumed
-///    in thread order, so its counters and best-so-far are
-///    timing-dependent.
+///    independent subtree tasks claimed by the worker pool
+///    (util::parallel_for_index). Whenever the search completes within its
+///    node budget, the result — best mapping, cost, and all counters — is
+///    byte-identical for every thread count: each task prunes against the
+///    seeded incumbent plus its own discoveries (ties among equal-cost
+///    optima broken by lexicographic assignment), and an exception is the
+///    one of the first task to throw in task order. A budget-truncated run
+///    is the exception: the global budget is consumed in thread order, so
+///    its counters and best-so-far are timing-dependent.
 ///
 /// When the node budget runs out the engine stops and returns the best
 /// mapping seen — at worst the SA-seeded incumbent — with
@@ -49,8 +46,6 @@
 /// reports.
 
 #include <cstdint>
-#include <functional>
-#include <memory>
 
 #include "nocmap/mapping/cost.hpp"
 #include "nocmap/search/search_result.hpp"
@@ -75,9 +70,8 @@ struct BnbOptions {
 
   /// Worker threads claiming subtree tasks. When the search completes
   /// within the node budget, results and counters are identical for any
-  /// value (see share_incumbent); a budget-truncated run's counters and
-  /// best-so-far depend on which nodes the threads reached first. 0 is
-  /// treated as 1.
+  /// value; a budget-truncated run's counters and best-so-far depend on
+  /// which nodes the threads reached first. 0 is treated as 1.
   std::uint32_t threads = 1;
 
   /// Optional starting incumbent (e.g. search::greedy_mapping); also used
@@ -90,13 +84,6 @@ struct BnbOptions {
   SaOptions sa;
   std::uint64_t seed = 1;
 
-  /// Let subtree tasks *read* the shared atomic incumbent for pruning.
-  /// Faster wall-clock when the seed is weak, and the returned mapping and
-  /// cost remain deterministic (pruning is strict, so no equal-cost optimum
-  /// is ever cut) — but nodes_visited/nodes_pruned then depend on thread
-  /// timing. Leave off when byte-identical reports matter (the default).
-  bool share_incumbent = false;
-
   /// Cooperative cancellation, polled once per node test (the same boundary
   /// as max_nodes) and by the seeding SA chain at its step boundaries. A
   /// cancelled run truncates exactly like an exhausted node budget: it
@@ -107,10 +94,8 @@ struct BnbOptions {
   const CancelToken* cancel = nullptr;
 };
 
-/// Builds one cost-function instance per search worker (cost functions own
-/// mutable evaluation state and are not shared across threads).
-using BnbCostFactory =
-    std::function<std::unique_ptr<mapping::CostFunction>()>;
+/// The cost factory under its branch-and-bound name.
+using BnbCostFactory = CostFactory;
 
 /// Branch-and-bound search over placements of make_cost()->num_cores()
 /// cores on topo's tiles. Requires the cost function to implement the

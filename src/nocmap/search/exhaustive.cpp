@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <limits>
+#include <memory>
 #include <stdexcept>
+
+#include "nocmap/util/parallel.hpp"
 
 namespace nocmap::search {
 
@@ -81,11 +84,31 @@ void for_each_orbit_minimum(std::size_t num_cores, std::uint32_t num_tiles,
   recurse(recurse, 0);
 }
 
-}  // namespace
+/// Candidates a shard holds per worker, and candidates per pool index. A
+/// worker prices several chunks of each shard, which evens out unequal
+/// simulation times, and the shard is large enough to pay for starting
+/// the workers.
+constexpr std::size_t kShardPerWorker = 1024;
+constexpr std::size_t kChunk = 128;
 
-SearchResult exhaustive_search(const mapping::CostFunction& cost,
-                               const noc::Topology& topo,
-                               const EsOptions& options) {
+/// Folds the next candidate, in enumeration order, into the running best:
+/// the first candidate of the lowest cost wins.
+void record(SearchResult& result, const mapping::Mapping& candidate,
+            double c) {
+  if (result.evaluations++ == 0) result.initial_cost = c;
+  if (c < result.best_cost) {
+    result.best_cost = c;
+    result.best = candidate;
+  }
+}
+
+/// The one engine. One worker prices each candidate on `cost` as the
+/// enumeration reaches it. More collect a shard of candidates, price it on
+/// the pool (worker 0 on `cost`, the others on make_cost() instances built
+/// on their first chunk) and fold it in in enumeration order.
+SearchResult run_search(const mapping::CostFunction& cost,
+                        const CostFactory* factory, const noc::Topology& topo,
+                        const EsOptions& options) {
   const std::size_t num_cores = cost.num_cores();
   const std::uint32_t num_tiles = topo.num_tiles();
   if (num_cores > num_tiles) {
@@ -94,88 +117,80 @@ SearchResult exhaustive_search(const mapping::CostFunction& cost,
   cost.begin_search();
   const TileMaps group =
       options.use_symmetry ? cost.symmetry_group(topo) : TileMaps{};
+  const std::size_t workers =
+      factory ? std::max<std::uint32_t>(1, options.threads) : 1;
 
   SearchResult result{mapping::Mapping(topo, num_cores),
                       std::numeric_limits<double>::infinity(), 0.0, 0, true};
-  mapping::Mapping candidate(topo, num_cores);
-  for_each_orbit_minimum(
-      num_cores, num_tiles, group,
-      [&](const std::vector<noc::TileId>& assignment) {
-        if (options.max_evaluations != 0 &&
-            result.evaluations >= options.max_evaluations) {
-          result.exhausted = false;
-          return false;  // Budget exceeded: stop everywhere.
-        }
-        candidate.set_assignment(assignment);
-        const double c = cost.cost(candidate);
-        if (result.evaluations++ == 0) result.initial_cost = c;
-        if (c < result.best_cost) {
-          result.best_cost = c;
-          result.best = candidate;
-        }
-        return true;
-      });
-  return result;
-}
-
-SearchResult exhaustive_search_batched(std::size_t num_cores,
-                                       const noc::Topology& topo,
-                                       const BatchCostFn& evaluate,
-                                       const TileMaps& group,
-                                       const EsOptions& options,
-                                       std::size_t batch_size) {
-  const std::uint32_t num_tiles = topo.num_tiles();
-  if (num_cores > num_tiles) {
-    throw std::invalid_argument("exhaustive_search: more cores than tiles");
-  }
-  if (num_cores == 0) {
-    throw std::invalid_argument("exhaustive_search: application has no cores");
-  }
-  if (batch_size == 0) batch_size = 1;
-
-  SearchResult result{mapping::Mapping(topo, num_cores),
-                      std::numeric_limits<double>::infinity(), 0.0, 0, true};
-
-  // The shard: candidate mappings are materialized into preallocated
-  // Mapping slots (set_assignment reuses their storage), priced in one
-  // evaluate() call, then reduced in enumeration order — which makes the
-  // outcome independent of both the shard size and however evaluate()
-  // parallelizes internally.
-  std::vector<mapping::Mapping> batch(batch_size,
-                                      mapping::Mapping(topo, num_cores));
-  std::vector<double> costs(batch_size, 0.0);
+  std::vector<mapping::Mapping> shard(
+      workers == 1 ? 1 : workers * kShardPerWorker,
+      mapping::Mapping(topo, num_cores));
+  std::vector<double> costs(shard.size());
+  std::vector<std::unique_ptr<mapping::CostFunction>> worker_costs(workers);
   std::size_t filled = 0;
-
   const auto flush = [&] {
-    if (filled == 0) return;
-    evaluate(batch.data(), filled, costs.data());
-    for (std::size_t i = 0; i < filled; ++i) {
-      if (result.evaluations++ == 0) result.initial_cost = costs[i];
-      if (costs[i] < result.best_cost) {
-        result.best_cost = costs[i];
-        result.best = batch[i];
-      }
-    }
+    util::parallel_for_index(
+        workers, (filled + kChunk - 1) / kChunk,
+        [&](std::size_t worker, std::size_t chunk) {
+          const mapping::CostFunction* priced = &cost;
+          if (worker != 0) {
+            if (!worker_costs[worker]) {
+              worker_costs[worker] = (*factory)();
+              worker_costs[worker]->begin_search();
+            }
+            priced = worker_costs[worker].get();
+          }
+          const std::size_t end = std::min(filled, (chunk + 1) * kChunk);
+          for (std::size_t i = chunk * kChunk; i < end; ++i) {
+            costs[i] = priced->cost(shard[i]);
+          }
+        });
+    for (std::size_t i = 0; i < filled; ++i) record(result, shard[i], costs[i]);
     filled = 0;
   };
 
-  const TileMaps none;
   std::uint64_t enumerated = 0;
   for_each_orbit_minimum(
-      num_cores, num_tiles, options.use_symmetry ? group : none,
+      num_cores, num_tiles, group,
       [&](const std::vector<noc::TileId>& assignment) {
         if (options.max_evaluations != 0 &&
             enumerated >= options.max_evaluations) {
           result.exhausted = false;
           return false;  // Budget exceeded: stop everywhere.
         }
-        batch[filled].set_assignment(assignment);
         ++enumerated;
-        if (++filled == batch.size()) flush();
+        mapping::Mapping& candidate = shard[filled];
+        candidate.set_assignment(assignment);
+        if (workers == 1) {
+          record(result, candidate, cost.cost(candidate));
+        } else if (++filled == shard.size()) {
+          flush();
+        }
         return true;
       });
   flush();
   return result;
+}
+
+}  // namespace
+
+SearchResult exhaustive_search(const mapping::CostFunction& cost,
+                               const noc::Topology& topo,
+                               const EsOptions& options) {
+  return run_search(cost, nullptr, topo, options);
+}
+
+SearchResult exhaustive_search(const CostFactory& make_cost,
+                               const noc::Topology& topo,
+                               const EsOptions& options) {
+  if (!make_cost) {
+    throw std::invalid_argument("exhaustive_search: null cost factory");
+  }
+  const std::unique_ptr<mapping::CostFunction> cost = make_cost();
+  if (!cost) {
+    throw std::invalid_argument("exhaustive_search: factory returned null");
+  }
+  return run_search(*cost, &make_cost, topo, options);
 }
 
 }  // namespace nocmap::search

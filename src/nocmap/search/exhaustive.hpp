@@ -15,8 +15,6 @@
 /// full enumeration, bit for bit.
 
 #include <cstdint>
-#include <functional>
-#include <vector>
 
 #include "nocmap/mapping/cost.hpp"
 #include "nocmap/search/search_result.hpp"
@@ -30,6 +28,11 @@ struct EsOptions {
   /// Abort after this many evaluations; the result then carries
   /// exhausted == false. 0 means unlimited.
   std::uint64_t max_evaluations = 0;
+  /// Workers pricing the enumeration (factory form only). With more than
+  /// one, candidates are collected in shards and each worker prices its
+  /// share on its own cost function; the result is identical for any value.
+  /// 0 is treated as 1.
+  std::uint32_t threads = 1;
 };
 
 /// Enumerate placements of cost.num_cores() cores on topo's tiles, in
@@ -38,32 +41,21 @@ struct EsOptions {
 /// options.use_symmetry only the lexicographic minimum of each orbit of
 /// cost.symmetry_group(topo) is priced. The lexicographically smallest
 /// optimal assignment is always such a minimum, so the result is the one
-/// the full enumeration returns.
+/// the full enumeration returns. Runs on the caller's thread
+/// (options.threads is ignored).
 SearchResult exhaustive_search(const mapping::CostFunction& cost,
                                const noc::Topology& topo,
                                const EsOptions& options = {});
 
-/// Prices one contiguous shard of the enumeration: costs[i] must receive
-/// the objective of mappings[i]. Called from one thread; the implementation
-/// may parallelize internally (sim::BatchEvaluator does).
-using BatchCostFn = std::function<void(
-    const mapping::Mapping* mappings, std::size_t count, double* costs)>;
-
-/// Batched exhaustive search: the same enumeration (and therefore the same
-/// symmetry pruning, evaluation count and budget semantics) as
-/// exhaustive_search, but candidates are materialized into fixed-size
-/// shards and priced through `evaluate` — which is how the CDCM objective
-/// runs on a sim::BatchEvaluator's thread pool. `group` is the priced
-/// objective's CostFunction::symmetry_group(topo); it is ignored when
-/// options.use_symmetry is false. The reduction walks costs in enumeration
-/// order with a strict '<', so the winner, its cost and `initial_cost` are
-/// byte-identical to the serial engine for every shard size and thread
-/// count.
-SearchResult exhaustive_search_batched(
-    std::size_t num_cores, const noc::Topology& topo,
-    const BatchCostFn& evaluate,
-    const std::vector<std::vector<noc::TileId>>& group,
-    const EsOptions& options = {}, std::size_t batch_size = 1024);
+/// The same search on options.threads workers, each pricing on its own
+/// make_cost() instance. Shards are reduced in enumeration order with the
+/// same strict '<', so the winner, its cost, `initial_cost` and the
+/// evaluation count are those of the one-worker search for any thread
+/// count, and an exception is the one the one-worker search would throw
+/// first.
+SearchResult exhaustive_search(const CostFactory& make_cost,
+                               const noc::Topology& topo,
+                               const EsOptions& options = {});
 
 /// The number of placements ES would enumerate without symmetry pruning:
 /// m! / (m - n)!; saturates at UINT64_MAX on overflow.

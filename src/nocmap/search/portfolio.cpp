@@ -1,13 +1,10 @@
 #include "nocmap/search/portfolio.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <limits>
 #include <memory>
-#include <mutex>
-#include <optional>
 #include <utility>
 
 #include "nocmap/util/parallel.hpp"
@@ -28,34 +25,6 @@ util::Rng member_rng(std::uint64_t seed, std::uint32_t member) {
   util::Rng inner(outer() + member);
   return inner.split();
 }
-
-/// The one atomic shared incumbent. Members always *publish* improvements
-/// (cheap, and what progress reporting reads); *reading* it for search
-/// decisions is gated behind PortfolioOptions::share_incumbent because read
-/// timing depends on the thread scheduler.
-struct SharedIncumbent {
-  std::mutex mu;
-  double best = kInf;
-  std::optional<mapping::Mapping> best_map;
-  std::atomic<double> best_relaxed{kInf};
-
-  void publish(double cost, const mapping::Mapping& m) {
-    std::lock_guard<std::mutex> lock(mu);
-    if (cost < best) {
-      best = cost;
-      best_map = m;
-      best_relaxed.store(cost, std::memory_order_relaxed);
-    }
-  }
-
-  double peek() const { return best_relaxed.load(std::memory_order_relaxed); }
-
-  std::optional<mapping::Mapping> snapshot(double& cost_out) {
-    std::lock_guard<std::mutex> lock(mu);
-    cost_out = best;
-    return best_map;
-  }
-};
 
 double elapsed_ms(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double, std::milli>(
@@ -99,7 +68,7 @@ PolishOutcome steepest_polish(const mapping::CostFunction& cost,
   return out;
 }
 
-PortfolioResult portfolio(const BnbCostFactory& make_cost,
+PortfolioResult portfolio(const CostFactory& make_cost,
                           const graph::Cwg& cwg, const noc::Topology& topo,
                           noc::RoutingAlgorithm routing,
                           const PortfolioOptions& options) {
@@ -115,13 +84,6 @@ PortfolioResult portfolio(const BnbCostFactory& make_cost,
       options.coolings.empty()
           ? std::vector<double>{options.sa.cooling, 0.99, 0.90, 0.97, 0.85}
           : options.coolings;
-
-  SharedIncumbent shared;
-  if (options.initial) {
-    // Publish the caller's incumbent so share_incumbent members can read a
-    // meaningful bar from the first checkpoint on.
-    shared.publish(probe->cost(*options.initial), *options.initial);
-  }
 
   std::vector<std::unique_ptr<PortfolioMemberOutcome>> outcomes(num_members);
 
@@ -146,14 +108,12 @@ PortfolioResult portfolio(const BnbCostFactory& make_cost,
     const std::uint64_t quantum = options.checkpoint_moves;
     std::uint64_t next_cp = quantum;
     double last_sampled = kInf;
-    bool abandoned = false;
     while (chain.step()) {
       // Sample at the fixed move-count quanta AND on every improvement of
       // this member's own incumbent, so the anytime curve records the exact
       // step each improvement landed instead of the next checkpoint after
       // it. Improvement samples are deterministic (a pure function of the
-      // member's chain); publishing and the racing cut stay on the quantum
-      // cadence so share_incumbent timing semantics are unchanged.
+      // member's chain).
       const bool improved = chain.result().best_cost < last_sampled;
       const bool at_checkpoint =
           quantum == 0 || chain.moves_priced() >= next_cp || chain.done();
@@ -165,25 +125,16 @@ PortfolioResult portfolio(const BnbCostFactory& make_cost,
                                       chain.result().best_cost,
                                       elapsed_ms(start)});
       last_sampled = chain.result().best_cost;
-      if (!at_checkpoint) continue;
-      shared.publish(chain.result().best_cost, chain.result().best);
-      if (options.share_incumbent &&
-          chain.result().best_cost > shared.peek() * 1.05) {
-        // Racing cut: this member is > 5 % behind the portfolio leader.
-        abandoned = true;
-        break;
-      }
     }
-    const bool cut = chain.budget_cut() || abandoned;
+    const bool cut = chain.budget_cut();
     SearchResult result = chain.take_result();
     if (samples.empty() || samples.back().moves != chain.moves_priced() ||
         samples.back().best_j != result.best_cost) {
-      // Guarantee a terminal sample (abandoned members break mid-loop; and
-      // the loop's last sample predates the final step's pinning).
+      // Guarantee a terminal sample: the loop's last sample predates the
+      // final step's pinning.
       samples.push_back(AnytimeSample{chain.moves_priced(), result.best_cost,
                                       elapsed_ms(start)});
     }
-    shared.publish(result.best_cost, result.best);
     outcomes[i] = std::make_unique<PortfolioMemberOutcome>(
         PortfolioMemberOutcome{sa_label(i, so.cooling, use_lns),
                                std::move(result), std::move(samples), cut});
@@ -196,19 +147,11 @@ PortfolioResult portfolio(const BnbCostFactory& make_cost,
     bo.threads = 1;      // One worker: a truncated DFS is still deterministic.
     bo.seed = options.seed;
     bo.seed_with_sa = false;  // The SA members *are* the seeds.
-    bo.share_incumbent = false;
     if (options.cancel) bo.cancel = options.cancel;
-    std::optional<mapping::Mapping> warm;
     bo.incumbent = options.initial;
-    if (options.share_incumbent) {
-      double warm_cost = kInf;
-      warm = shared.snapshot(warm_cost);
-      if (warm) bo.incumbent = &*warm;
-    }
     SearchResult result = branch_and_bound(make_cost, topo, bo);
     std::vector<AnytimeSample> samples{AnytimeSample{
         result.nodes_tested, result.best_cost, elapsed_ms(start)}};
-    if (result.best_cost < kInf) shared.publish(result.best_cost, result.best);
     outcomes[i] = std::make_unique<PortfolioMemberOutcome>(
         PortfolioMemberOutcome{"bnb", std::move(result), std::move(samples),
                                !result.exhausted});
@@ -222,9 +165,10 @@ PortfolioResult portfolio(const BnbCostFactory& make_cost,
     }
   };
 
-  util::parallel_for_index(options.threads, num_members, [&](std::size_t i) {
-    run_member(static_cast<std::uint32_t>(i));
-  });
+  util::parallel_for_index(
+      options.threads, num_members, [&](std::size_t, std::size_t i) {
+        run_member(static_cast<std::uint32_t>(i));
+      });
 
   // --- Deterministic reduction: lowest cost, ties by member index ----------
   std::size_t winner = 0;

@@ -1,7 +1,7 @@
 #pragma once
 /// \file portfolio.hpp
 /// Racing engine portfolio: SA chains x cooling schedules x move sets, plus
-/// a budgeted branch-and-bound member, over one atomic shared incumbent.
+/// a budgeted branch-and-bound member, all from one starting incumbent.
 ///
 /// 120-tile instances are too large for exact search and too rugged for a
 /// single annealing schedule, and which (cooling, neighbourhood) pair wins
@@ -17,15 +17,11 @@
 ///    optimum outright, on large ones its DFS-truncated best still
 ///    competes.
 ///
-/// Determinism extends PR 5's shard-scheduler contract: members are
-/// independent tasks claimed by a worker pool, every member is a pure
-/// function of (seed, member index, budgets), and the reduction takes the
-/// lowest cost with ties broken by member index — so the result is
-/// byte-identical for any thread count. Members publish improvements to an
-/// atomic shared incumbent as they go; *reading* it (abandoning hopeless
-/// members early, warm-starting the B&B member) is opt-in via
-/// share_incumbent, because read timing depends on the scheduler (same
-/// tradeoff as BnbOptions::share_incumbent).
+/// Determinism extends the B&B shard scheduler's contract: members are
+/// independent tasks claimed by the worker pool (util::parallel_for_index),
+/// every member is a pure function of (seed, member index, budgets), and
+/// the reduction takes the lowest cost with ties broken by member index —
+/// so the result is byte-identical for any thread count.
 ///
 /// Every member records anytime samples (best cost vs priced moves vs wall
 /// clock) at deterministic move-count checkpoints AND on every improvement
@@ -97,16 +93,15 @@ struct PortfolioOptions {
 
   std::uint32_t threads = 1;  ///< Workers racing the members.
   std::uint64_t seed = 1;
-  /// Shared starting incumbent: SA members start here (random when null)
-  /// and the B&B member adopts it.
+  /// Starting incumbent: SA members start here (random when null) and the
+  /// B&B member adopts it.
   const mapping::Mapping* initial = nullptr;
 
   /// Anytime-sample granularity in priced moves; 0 samples every
   /// temperature step. Samples land on step boundaries, so two checkpoints
   /// never split a step. Members additionally sample whenever their own
   /// incumbent improves, independent of the quantum — the curve records the
-  /// exact step of every improvement. Publishing to the shared incumbent
-  /// (and the share_incumbent racing cut) stays on the quantum cadence.
+  /// exact step of every improvement.
   std::uint64_t checkpoint_moves = 0;
   /// Per-SA-member priced-move budget (SaOptions::max_moves semantics);
   /// 0 = each member stops by its own convergence criteria.
@@ -116,14 +111,6 @@ struct PortfolioOptions {
   /// in the member's samples, so any time-budget result can be reproduced
   /// exactly by rerunning with max_moves = that checkpoint. 0 = none.
   double time_budget_ms = 0.0;
-
-  /// Let members *read* the shared incumbent: a member abandons at a
-  /// checkpoint when its own best is more than 5 % above the shared best,
-  /// and the B&B member warm-starts from the shared best mapping. Faster
-  /// wall-clock, but which checkpoint a member abandons at depends on
-  /// thread timing — leave off when byte-identical reports matter (the
-  /// default, as in BnbOptions::share_incumbent).
-  bool share_incumbent = false;
 
   /// Finish with a batched steepest-descent polish of the overall winner
   /// (only when the cost advertises has_batched_deltas — the vectorized
@@ -144,7 +131,7 @@ struct PortfolioOptions {
 /// prices edges at hop counts); for timing-aware objectives pass the CWG
 /// projection — move *guidance* may be timing-blind even when pricing is
 /// exact.
-PortfolioResult portfolio(const BnbCostFactory& make_cost,
+PortfolioResult portfolio(const CostFactory& make_cost,
                           const graph::Cwg& cwg, const noc::Topology& topo,
                           noc::RoutingAlgorithm routing,
                           const PortfolioOptions& options = {});

@@ -3,12 +3,19 @@
 /// Common result type for all mapping search engines.
 
 #include <cstdint>
+#include <functional>
 #include <limits>
+#include <memory>
 #include <optional>
 
+#include "nocmap/mapping/cost.hpp"
 #include "nocmap/mapping/mapping.hpp"
 
 namespace nocmap::search {
+
+/// Builds one cost-function instance per search worker (cost functions own
+/// mutable evaluation state and are not shared across threads).
+using CostFactory = std::function<std::unique_ptr<mapping::CostFunction>()>;
 
 /// The value SearchResult::nodes_pruned saturates at. A saturated count
 /// only says the eliminated volume is at least this large, so neither the

@@ -200,8 +200,9 @@ std::vector<MapResponse> ServeEngine::serve(
   }
 
   // --- Phase 3: solve unique jobs on the worker pool -----------------------
-  util::parallel_for_index(options_.threads, jobs.size(),
-                           [&](std::size_t j) { solve_job(jobs[j]); });
+  util::parallel_for_index(
+      options_.threads, jobs.size(),
+      [&](std::size_t, std::size_t j) { solve_job(jobs[j]); });
 
   // --- Phase 4: publish, sequentially in request order ---------------------
   std::vector<MapResponse> responses(n);

@@ -37,8 +37,8 @@
 /// loop, so scalar and traced results agree bitwise.
 ///
 /// A Simulator instance is NOT thread-safe (it mutates its arena); give each
-/// thread its own instance — sim::BatchEvaluator maintains such a pool.
-/// CdcmCost owns one per cost-function object.
+/// thread its own instance. CdcmCost owns one per cost-function object, and
+/// the parallel searches build one cost function per worker.
 
 #include <cstdint>
 #include <vector>

@@ -553,10 +553,11 @@ const std::vector<Flag<RunArgs>> kRunFlags = {
      "source).",
      [](RunArgs& a, Value v) { a.seeds = parse_uint(v, 1); }, kSweep},
     {"--threads", "N",
-     "Worker threads (default: 1): explore runs its SA chains and the "
-     "batched CDCM exhaustive search on them, bench and sweep explore "
-     "applications / rows in parallel. Purely a throughput knob: the "
-     "output is identical for any N.",
+     "Worker threads (default: 1): explore runs its SA chains, the "
+     "exhaustive-search shards (CWM and CDCM), the branch-and-bound "
+     "subtree tasks and the portfolio members on them, bench and sweep "
+     "explore applications / rows in parallel. Purely a throughput knob: "
+     "the output is identical for any N.",
      [](RunArgs& a, Value v) {
        a.explorer.threads = parse_uint<std::uint32_t>(v, 1, 1024);
      }},
@@ -1152,7 +1153,7 @@ int cmd_bench_suite(const RunArgs& args) {
   if (suite.size() > 1) per_app.threads = 1;
   std::vector<std::optional<core::Comparison>> comparisons(suite.size());
   util::parallel_for_index(args.explorer.threads, suite.size(),
-                           [&](std::size_t i) {
+                           [&](std::size_t, std::size_t i) {
     const workload::SuiteEntry& entry = suite[i];
     const std::unique_ptr<noc::Topology> topo = noc::make_topology(
         topology, entry.noc_width, entry.noc_height, args.topology_options);
@@ -1507,7 +1508,7 @@ int cmd_sweep(const RunArgs& args) {
   per_row.tech = tech;
   if (rows.size() > 1) per_row.threads = 1;
   util::parallel_for_index(args.explorer.threads, rows.size(),
-                           [&](std::size_t i) {
+                           [&](std::size_t, std::size_t i) {
     SweepRow& row = rows[i];
     const SweepApp& app = apps[row.app];
     const std::unique_ptr<noc::Topology> topo = noc::make_topology(

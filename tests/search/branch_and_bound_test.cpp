@@ -3,11 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "nocmap/search/exhaustive.hpp"
@@ -144,23 +146,89 @@ TEST(BranchAndBoundTest, ShardDepthDoesNotChangeTheResult) {
   }
 }
 
-TEST(BranchAndBoundTest, SharedIncumbentModeKeepsTheResultDeterministic) {
-  const energy::Technology tech = energy::technology_0_07u();
-  const graph::Cdcg cdcg = random_workload(16);
-  const graph::Cwg cwg = cdcg.to_cwg();
-  const std::unique_ptr<noc::Topology> topo = noc::make_topology("mesh", 4, 4);
-  const BnbCostFactory factory = [&]() -> std::unique_ptr<mapping::CostFunction> {
-    return std::make_unique<mapping::CwmCost>(cwg, *topo, tech);
+// --- Errors ------------------------------------------------------------------
+
+/// CWM on a 3x3 mesh that throws "first" on the placement (0, 1, 2, 3) and
+/// "second" on (3, 0, 1, 2), and prices nothing else differently. The
+/// first is reached before the second in enumeration order, 1008
+/// placements and 24 subtree tasks apart, but it sleeps before throwing,
+/// so at several workers the second throws first in time.
+/// Its lower bound is 0 and every core's traffic is equal, so branch and
+/// bound walks the whole tree in the same lexicographic order as ES.
+class ThrowingCost final : public mapping::CostFunction {
+ public:
+  ThrowingCost(const graph::Cwg& cwg, const noc::Topology& topo)
+      : inner_(cwg, topo, energy::technology_0_07u()),
+        first_(mapping::Mapping::from_assignment(topo, {0, 1, 2, 3})),
+        second_(mapping::Mapping::from_assignment(topo, {3, 0, 1, 2})) {}
+
+  double cost(const mapping::Mapping& m) const override {
+    if (m == first_) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      throw std::runtime_error("first");
+    }
+    if (m == second_) throw std::runtime_error("second");
+    return inner_.cost(m);
+  }
+  std::string name() const override { return "throwing"; }
+  std::size_t num_cores() const override { return inner_.num_cores(); }
+  bool has_lower_bound() const override { return true; }
+  std::unique_ptr<LowerBound> make_lower_bound() const override {
+    return std::make_unique<ZeroBound>();
+  }
+
+ private:
+  class ZeroBound final : public LowerBound {
+   public:
+    void reset() override {}
+    void place(graph::CoreId, noc::TileId) override {}
+    void unplace(graph::CoreId, noc::TileId) override {}
+    double bound(double) const override { return 0.0; }
+    std::uint64_t core_traffic(graph::CoreId) const override { return 0; }
   };
-  BnbOptions options;
-  const SearchResult reference = branch_and_bound(factory, *topo, options);
-  options.share_incumbent = true;
-  options.threads = 4;
-  const SearchResult shared = branch_and_bound(factory, *topo, options);
-  // Counters may differ (pruning reads cross-thread state) but the winner
-  // may not: strict pruning never cuts an equal-cost optimum.
-  EXPECT_EQ(shared.best_cost, reference.best_cost);
-  EXPECT_EQ(shared.best, reference.best);
+
+  mapping::CwmCost inner_;
+  mapping::Mapping first_;
+  mapping::Mapping second_;
+};
+
+template <typename Search>
+void expect_first_error_at_any_thread_count(const Search& search) {
+  for (const std::uint32_t threads : {1u, 2u, 4u, 7u}) {
+    try {
+      search(threads);
+      ADD_FAILURE() << "no exception at threads " << threads;
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()), "first") << "threads " << threads;
+    }
+  }
+}
+
+TEST(SearchErrorTest, ExhaustiveReportsTheFirstEnumeratedError) {
+  const graph::Cwg cwg = random_workload(4).to_cwg();
+  const noc::Mesh mesh(3, 3);
+  const CostFactory factory = [&]() -> std::unique_ptr<mapping::CostFunction> {
+    return std::make_unique<ThrowingCost>(cwg, mesh);
+  };
+  expect_first_error_at_any_thread_count([&](std::uint32_t threads) {
+    EsOptions options;
+    options.threads = threads;
+    exhaustive_search(factory, mesh, options);
+  });
+}
+
+TEST(SearchErrorTest, BranchAndBoundReportsTheFirstEnumeratedError) {
+  const graph::Cwg cwg = random_workload(4).to_cwg();
+  const noc::Mesh mesh(3, 3);
+  const CostFactory factory = [&]() -> std::unique_ptr<mapping::CostFunction> {
+    return std::make_unique<ThrowingCost>(cwg, mesh);
+  };
+  expect_first_error_at_any_thread_count([&](std::uint32_t threads) {
+    BnbOptions options;
+    options.threads = threads;
+    options.seed_with_sa = false;
+    branch_and_bound(factory, mesh, options);
+  });
 }
 
 // --- Budget and seeding -----------------------------------------------------

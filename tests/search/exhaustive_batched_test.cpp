@@ -1,10 +1,13 @@
 /// \file exhaustive_batched_test.cpp
-/// Batched exhaustive search must reproduce the serial engine bit for bit —
-/// same winner, cost, initial cost and evaluation count — for every shard
-/// size and BatchEvaluator thread count, including under a budget.
+/// Exhaustive search sharded over several workers must reproduce the
+/// one-worker search bit for bit — same winner, cost, initial cost and
+/// evaluation count — for the CWM and CDCM objectives, at every worker
+/// count, including under a budget.
 
 #include <memory>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -12,7 +15,6 @@
 #include "nocmap/noc/mesh.hpp"
 #include "nocmap/noc/topology.hpp"
 #include "nocmap/search/exhaustive.hpp"
-#include "nocmap/sim/batch_evaluator.hpp"
 #include "nocmap/workload/random_cdcg.hpp"
 
 namespace nocmap::search {
@@ -35,6 +37,20 @@ void expect_same(const SearchResult& got, const SearchResult& want) {
   EXPECT_EQ(got.exhausted, want.exhausted);
 }
 
+/// The factory form at 1 and 4 workers (and at 2, which splits the larger
+/// enumerations into several shards) returns what the one-worker
+/// const-reference form returns.
+void expect_thread_invariant(const CostFactory& make_cost,
+                             const noc::Topology& topo,
+                             EsOptions options = {}) {
+  const SearchResult serial = exhaustive_search(*make_cost(), topo, options);
+  for (const std::uint32_t threads : {1u, 2u, 4u}) {
+    SCOPED_TRACE(threads);
+    options.threads = threads;
+    expect_same(exhaustive_search(make_cost, topo, options), serial);
+  }
+}
+
 class BatchedEsTest : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(BatchedEsTest, MatchesSerialCdcmSearch) {
@@ -42,25 +58,23 @@ TEST_P(BatchedEsTest, MatchesSerialCdcmSearch) {
       noc::make_topology(GetParam(), 3, 3, {});
   const graph::Cdcg cdcg = random_cdcg(4, 21);
   const energy::Technology tech = energy::technology_0_07u();
-  const mapping::CdcmCost cost(cdcg, *topo, tech);
+  expect_thread_invariant(
+      [&]() -> std::unique_ptr<mapping::CostFunction> {
+        return std::make_unique<mapping::CdcmCost>(cdcg, *topo, tech);
+      },
+      *topo);
+}
 
-  const SearchResult serial = exhaustive_search(cost, *topo);
-
-  sim::SimOptions sim_options;
-  sim_options.record_traces = false;
-  for (const std::uint32_t threads : {1u, 4u}) {
-    for (const std::size_t shard : {1ul, 7ul, 64ul, 100000ul}) {
-      sim::BatchEvaluator evaluator(cdcg, *topo, tech, sim_options, threads);
-      const SearchResult batched = exhaustive_search_batched(
-          cost.num_cores(), *topo,
-          [&](const mapping::Mapping* mappings, std::size_t count,
-              double* costs) {
-            evaluator.evaluate_costs(mappings, count, costs);
-          },
-          cost.symmetry_group(*topo), {}, shard);
-      expect_same(batched, serial);
-    }
-  }
+TEST_P(BatchedEsTest, MatchesSerialCwmSearch) {
+  const std::unique_ptr<noc::Topology> topo =
+      noc::make_topology(GetParam(), 3, 3, {});
+  const graph::Cwg cwg = random_cdcg(6, 5).to_cwg();
+  const energy::Technology tech = energy::technology_0_07u();
+  expect_thread_invariant(
+      [&]() -> std::unique_ptr<mapping::CostFunction> {
+        return std::make_unique<mapping::CwmCost>(cwg, *topo, tech);
+      },
+      *topo);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllTopologies, BatchedEsTest,
@@ -70,47 +84,71 @@ TEST(BatchedEsBudgetTest, BudgetSemanticsMatchSerial) {
   const noc::Mesh mesh(3, 3);
   const graph::Cdcg cdcg = random_cdcg(5, 33);
   const energy::Technology tech = energy::technology_0_07u();
-  const mapping::CdcmCost cost(cdcg, mesh, tech);
+  const CostFactory factory = [&]() -> std::unique_ptr<mapping::CostFunction> {
+    return std::make_unique<mapping::CdcmCost>(cdcg, mesh, tech);
+  };
 
   EsOptions budget;
   budget.max_evaluations = 137;
-  const SearchResult serial = exhaustive_search(cost, mesh, budget);
+  const SearchResult serial = exhaustive_search(*factory(), mesh, budget);
   EXPECT_FALSE(serial.exhausted);
   EXPECT_EQ(serial.evaluations, 137u);
+  expect_thread_invariant(factory, mesh, budget);
 
-  sim::BatchEvaluator evaluator(cdcg, mesh, tech, {}, 2);
-  const SearchResult batched = exhaustive_search_batched(
-      cost.num_cores(), mesh,
-      [&](const mapping::Mapping* mappings, std::size_t count,
-          double* costs) { evaluator.evaluate_costs(mappings, count, costs); },
-      cost.symmetry_group(mesh), budget, 32);
-  expect_same(batched, serial);
+  // A budget that ends inside the second shard of two workers.
+  budget.max_evaluations = 2500;
+  expect_thread_invariant(factory, mesh, budget);
 }
 
 TEST(BatchedEsBudgetTest, NoSymmetryEnumerationMatchesToo) {
   const noc::Mesh mesh(3, 2);
   const graph::Cdcg cdcg = random_cdcg(4, 2);
   const energy::Technology tech = energy::technology_0_07u();
-  const mapping::CdcmCost cost(cdcg, mesh, tech);
-
   EsOptions options;
   options.use_symmetry = false;
-  const SearchResult serial = exhaustive_search(cost, mesh, options);
-  sim::BatchEvaluator evaluator(cdcg, mesh, tech, {}, 3);
-  const SearchResult batched = exhaustive_search_batched(
-      cost.num_cores(), mesh,
-      [&](const mapping::Mapping* mappings, std::size_t count,
-          double* costs) { evaluator.evaluate_costs(mappings, count, costs); },
-      cost.symmetry_group(mesh), options, 16);
-  expect_same(batched, serial);
+  expect_thread_invariant(
+      [&]() -> std::unique_ptr<mapping::CostFunction> {
+        return std::make_unique<mapping::CdcmCost>(cdcg, mesh, tech);
+      },
+      mesh, options);
 }
+
+/// CWM whose symmetry group is another board's.
+class ForeignGroupCost final : public mapping::CostFunction {
+ public:
+  ForeignGroupCost(const graph::Cwg& cwg, const noc::Topology& topo,
+                   const noc::Topology& other)
+      : inner_(cwg, topo, energy::technology_0_07u()), other_(other) {}
+
+  double cost(const mapping::Mapping& m) const override {
+    return inner_.cost(m);
+  }
+  std::string name() const override { return "foreign-group"; }
+  std::size_t num_cores() const override { return inner_.num_cores(); }
+  std::vector<std::vector<noc::TileId>> symmetry_group(
+      const noc::Topology&) const override {
+    return other_.symmetry_maps();
+  }
+
+ private:
+  mapping::CwmCost inner_;
+  const noc::Topology& other_;
+};
 
 TEST(BatchedEsInputTest, RejectsASymmetryMapOfAnotherBoard) {
   const noc::Mesh mesh(3, 2);
   const noc::Mesh other(3, 3);
-  EXPECT_THROW(exhaustive_search_batched(
-                   4, mesh, [](const mapping::Mapping*, std::size_t, double*) {},
-                   other.symmetry_maps()),
+  const graph::Cwg cwg = random_cdcg(4, 2).to_cwg();
+  const ForeignGroupCost cost(cwg, mesh, other);
+  EXPECT_THROW(exhaustive_search(cost, mesh), std::invalid_argument);
+  EsOptions options;
+  options.threads = 4;
+  EXPECT_THROW(exhaustive_search(
+                   [&]() -> std::unique_ptr<mapping::CostFunction> {
+                     return std::make_unique<ForeignGroupCost>(cwg, mesh,
+                                                               other);
+                   },
+                   mesh, options),
                std::invalid_argument);
 }
 

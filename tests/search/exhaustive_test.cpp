@@ -31,30 +31,25 @@ graph::Cdcg random_cdcg(std::uint32_t cores, std::uint32_t packets,
   return workload::generate_random_cdcg(params, rng);
 }
 
-/// Default (orbit-pruned) ES, serial and batched, must return what the full
-/// enumeration returns, bit for bit: cost, mapping and first cost.
-void expect_exact(const mapping::CostFunction& cost,
-                  const noc::Topology& topo) {
+/// Default (orbit-pruned) ES, on one worker and sharded over four, must
+/// return what the full enumeration returns, bit for bit: cost, mapping and
+/// first cost.
+void expect_exact(const CostFactory& make_cost, const noc::Topology& topo) {
+  const std::unique_ptr<mapping::CostFunction> cost = make_cost();
   EsOptions full;
   full.use_symmetry = false;
-  const SearchResult reference = exhaustive_search(cost, topo, full);
-  const SearchResult serial = exhaustive_search(cost, topo);
-  const SearchResult batched = exhaustive_search_batched(
-      cost.num_cores(), topo,
-      [&](const mapping::Mapping* mappings, std::size_t count,
-          double* costs) {
-        for (std::size_t i = 0; i < count; ++i) {
-          costs[i] = cost.cost(mappings[i]);
-        }
-      },
-      cost.symmetry_group(topo), {}, 256);
-  for (const SearchResult* pruned : {&serial, &batched}) {
+  const SearchResult reference = exhaustive_search(*cost, topo, full);
+  const SearchResult serial = exhaustive_search(*cost, topo);
+  EsOptions four;
+  four.threads = 4;
+  const SearchResult sharded = exhaustive_search(make_cost, topo, four);
+  for (const SearchResult* pruned : {&serial, &sharded}) {
     EXPECT_EQ(pruned->best_cost, reference.best_cost);
     EXPECT_EQ(pruned->best, reference.best);
     EXPECT_EQ(pruned->initial_cost, reference.initial_cost);
     EXPECT_TRUE(pruned->exhausted);
   }
-  EXPECT_EQ(batched.evaluations, serial.evaluations);
+  EXPECT_EQ(sharded.evaluations, serial.evaluations);
   EXPECT_LE(serial.evaluations, reference.evaluations);
 }
 
@@ -161,8 +156,18 @@ TEST(ExhaustiveTest, OrbitEnumerationMatchesFullEnumeration) {
             random_cdcg(board.cores, board.cores * 4, board.cores * 512,
                         seed++);
         const graph::Cwg cwg = cdcg.to_cwg();
-        expect_exact(mapping::CwmCost(cwg, *topo, tech, routing), *topo);
-        expect_exact(mapping::CdcmCost(cdcg, *topo, tech, routing, so), *topo);
+        expect_exact(
+            [&]() -> std::unique_ptr<mapping::CostFunction> {
+              return std::make_unique<mapping::CwmCost>(cwg, *topo, tech,
+                                                        routing);
+            },
+            *topo);
+        expect_exact(
+            [&]() -> std::unique_ptr<mapping::CostFunction> {
+              return std::make_unique<mapping::CdcmCost>(cdcg, *topo, tech,
+                                                         routing, so);
+            },
+            *topo);
       }
     }
   }
@@ -176,8 +181,16 @@ TEST(ExhaustiveTest, OrbitEnumerationIsExactOnTheCongestionApp) {
   const graph::Cdcg cdcg = random_cdcg(8, 40, 81'920, 7);
   const graph::Cwg cwg = cdcg.to_cwg();
   const energy::Technology tech = energy::technology_0_07u();
-  expect_exact(mapping::CwmCost(cwg, mesh, tech), mesh);
-  expect_exact(mapping::CdcmCost(cdcg, mesh, tech), mesh);
+  expect_exact(
+      [&]() -> std::unique_ptr<mapping::CostFunction> {
+        return std::make_unique<mapping::CwmCost>(cwg, mesh, tech);
+      },
+      mesh);
+  expect_exact(
+      [&]() -> std::unique_ptr<mapping::CostFunction> {
+        return std::make_unique<mapping::CdcmCost>(cdcg, mesh, tech);
+      },
+      mesh);
 }
 
 TEST(ExhaustiveTest, BudgetCapsEvaluationsAndFlagsNonExhausted) {

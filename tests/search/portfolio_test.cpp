@@ -172,22 +172,6 @@ TEST(PortfolioTest, MoveBudgetCutsEverySaMemberDeterministically) {
   }
 }
 
-TEST(PortfolioTest, SharedIncumbentModeStillFindsAValidResult) {
-  Fixture f;
-  PortfolioOptions po = quick_options();
-  po.share_incumbent = true;
-  po.threads = 2;
-  const mapping::Mapping greedy = greedy_mapping(f.cwg, f.mesh);
-  po.initial = &greedy;
-  const PortfolioResult pr =
-      portfolio(f.cwm_factory(), f.cwg, f.mesh, noc::RoutingAlgorithm::kXY,
-                po);
-  EXPECT_TRUE(pr.best.best.is_valid());
-  // Racing can only start from the published greedy bar or better.
-  const mapping::CwmCost cost(f.cwg, f.mesh, f.tech);
-  EXPECT_LE(pr.best.best_cost, cost.cost(greedy));
-}
-
 TEST(PortfolioTest, FailingCostFactoryThrowsAtAnyThreadCount) {
   Fixture f;
   for (const std::uint32_t threads : {1u, 4u}) {
