@@ -838,26 +838,36 @@ double CdcmCost::run_cost(const Mapping& m) const {
 }
 
 double CdcmCost::cost(const Mapping& m) const {
+  return cost_within(m, std::numeric_limits<double>::infinity());
+}
+
+double CdcmCost::cost_within(const Mapping& m, double reject_above) const {
   // Cache hits return the value a fresh run would produce: the simulator is
   // deterministic and the cached cost came from a real run of this exact
   // mapping.
   if (cur_map_ && m == *cur_map_) return cur_cost_;
   if (probe_valid_ && probe_map_ && m == *probe_map_) return probe_cost_;
+  const sim::SimulationResult& r = simulator_->run(m, reject_above);
+  // A stopped run's energy is not the cost, only a value above the bound.
+  if (r.stopped) return r.energy.total_j();
   cur_map_ = m;  // Copy-assign reuses the cached mapping's storage.
-  cur_cost_ = run_cost(m);
+  cur_cost_ = r.energy.total_j();
   probe_valid_ = false;
   return cur_cost_;
 }
 
+double CdcmCost::base_cost(const Mapping& m) const {
+  if (cur_map_ && m == *cur_map_) return cur_cost_;
+  const double c = run_cost(m);
+  cur_map_ = m;
+  cur_cost_ = c;
+  return c;
+}
+
 double CdcmCost::swap_delta(const Mapping& m, noc::TileId a,
                             noc::TileId b) const {
-  double base;
-  if (cur_map_ && m == *cur_map_) {
-    base = cur_cost_;
-  } else {
-    cur_map_ = m;
-    base = cur_cost_ = run_cost(m);
-  }
+  const double base = base_cost(m);
+  probe_valid_ = false;  // probe_map_ changes before its run completes.
   if (!probe_map_) {
     probe_map_ = m;
   } else {
@@ -893,13 +903,8 @@ double CdcmCost::move_delta(Mapping& m,
                             const std::pair<noc::TileId, noc::TileId>* swaps,
                             std::size_t count) const {
   if (count == 1) return swap_delta(m, swaps[0].first, swaps[0].second);
-  double base;
-  if (cur_map_ && m == *cur_map_) {
-    base = cur_cost_;
-  } else {
-    cur_map_ = m;
-    base = cur_cost_ = run_cost(m);
-  }
+  const double base = base_cost(m);
+  probe_valid_ = false;  // probe_map_ changes before its run completes.
   if (!probe_map_) {
     probe_map_ = m;
   } else {

@@ -56,6 +56,17 @@ class CostFunction {
 
   virtual std::string name() const = 0;
 
+  /// cost(m), bit for bit, whenever that is <= reject_above; otherwise any
+  /// value above reject_above. A search that keeps only candidates at or
+  /// below an incumbent passes the incumbent, and an objective that can
+  /// tell a loser early may stop pricing it there: CdcmCost stops the
+  /// simulation once the energy so far exceeds the bound. The default
+  /// calls cost(m).
+  virtual double cost_within(const Mapping& m,
+                             [[maybe_unused]] double reject_above) const {
+    return cost(m);
+  }
+
   /// Number of cores of the bound application (the search engines need it
   /// to build candidate mappings).
   virtual std::size_t num_cores() const = 0;
@@ -303,7 +314,8 @@ class CwmCost final : public CostFunction {
 /// rebinding plus the cost caches below: the cost of the current mapping
 /// and of the last probed swap are remembered, so one SA move costs one
 /// simulator run instead of two, and the per-step resynchronization
-/// evaluation is a cache hit.
+/// evaluation is a cache hit. A cache entry is filled only after its run
+/// completed, so a run that throws or stops early leaves none.
 ///
 /// Not thread-safe: give each search worker its own CdcmCost.
 class CdcmCost final : public CostFunction {
@@ -318,6 +330,9 @@ class CdcmCost final : public CostFunction {
            sim::SimOptions sim_options = {});
 
   double cost(const Mapping& m) const override;
+  /// The simulation stops once its energy so far exceeds reject_above
+  /// (sim::Simulator::run); a stopped run is never cached.
+  double cost_within(const Mapping& m, double reject_above) const override;
   std::string name() const override { return "CDCM"; }
   std::size_t num_cores() const override { return cdcg_.num_cores(); }
 
@@ -362,6 +377,8 @@ class CdcmCost final : public CostFunction {
 
  private:
   double run_cost(const Mapping& m) const;
+  /// cost(m) through the current-mapping cache (the base of a delta).
+  double base_cost(const Mapping& m) const;
 
   const graph::Cdcg& cdcg_;
   const noc::Topology& topo_;

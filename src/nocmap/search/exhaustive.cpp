@@ -106,6 +106,12 @@ void record(SearchResult& result, const mapping::Mapping& candidate,
 /// enumeration reaches it. More collect a shard of candidates, price it on
 /// the pool (worker 0 on `cost`, the others on make_cost() instances built
 /// on their first chunk) and fold it in in enumeration order.
+///
+/// Each candidate is priced with cost_within() against the best cost so
+/// far: the running best on one worker, the best at the shard's start on
+/// more. A candidate above it cannot win record()'s strict '<', whatever
+/// value it reports, and every other candidate is priced exactly, so the
+/// result is the one full pricing gives.
 SearchResult run_search(const mapping::CostFunction& cost,
                         const CostFactory* factory, const noc::Topology& topo,
                         const EsOptions& options) {
@@ -129,6 +135,7 @@ SearchResult run_search(const mapping::CostFunction& cost,
   std::vector<std::unique_ptr<mapping::CostFunction>> worker_costs(workers);
   std::size_t filled = 0;
   const auto flush = [&] {
+    const double bound = result.best_cost;
     util::parallel_for_index(
         workers, (filled + kChunk - 1) / kChunk,
         [&](std::size_t worker, std::size_t chunk) {
@@ -142,7 +149,7 @@ SearchResult run_search(const mapping::CostFunction& cost,
           }
           const std::size_t end = std::min(filled, (chunk + 1) * kChunk);
           for (std::size_t i = chunk * kChunk; i < end; ++i) {
-            costs[i] = priced->cost(shard[i]);
+            costs[i] = priced->cost_within(shard[i], bound);
           }
         });
     for (std::size_t i = 0; i < filled; ++i) record(result, shard[i], costs[i]);
@@ -162,7 +169,8 @@ SearchResult run_search(const mapping::CostFunction& cost,
         mapping::Mapping& candidate = shard[filled];
         candidate.set_assignment(assignment);
         if (workers == 1) {
-          record(result, candidate, cost.cost(candidate));
+          record(result, candidate,
+                 cost.cost_within(candidate, result.best_cost));
         } else if (++filled == shard.size()) {
           flush();
         }

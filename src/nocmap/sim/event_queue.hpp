@@ -176,6 +176,16 @@ class BucketQueue {
     dirty_ = true;
   }
   void finish_run() { dirty_ = false; }
+  /// End a run that stopped with `queued` events still in the calendar:
+  /// popping them empties exactly the buckets they occupy, so the next run
+  /// starts clean without clearing the whole calendar.
+  void abandon_run(std::size_t queued) {
+    std::size_t time = 0;
+    std::uint32_t packet = 0;
+    std::uint32_t hop = 0;
+    for (; queued != 0; --queued) pop_min(time, packet, hop);
+    dirty_ = false;
+  }
   bool dirty() const { return dirty_; }
 
   void push(std::size_t bucket, std::uint32_t packet, std::uint32_t hop) {

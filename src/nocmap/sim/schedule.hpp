@@ -155,6 +155,12 @@ struct SimulationResult {
   energy::EnergyBreakdown energy;        ///< Equations 4, 9, 10.
   double total_contention_ns = 0.0;      ///< Sum over packets.
   std::size_t num_contended_packets = 0;
+  /// Set when Simulator::run(mapping, reject_above) stopped before
+  /// delivering every packet, because the energy already exceeded
+  /// reject_above. texec_ns, the static energy and the contention figures
+  /// then describe the schedule up to the stop, and energy.total_j() is
+  /// still above reject_above. Never set on a complete schedule.
+  bool stopped = false;
   std::vector<PacketTrace> packets;      ///< Indexed by PacketId.
   /// Occupancy lists indexed by ResourceId (empty when !record_traces); each
   /// list is sorted by start time.

@@ -2,11 +2,16 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <type_traits>
 
 namespace nocmap::sim {
+
+namespace {
+constexpr double kNoBound = std::numeric_limits<double>::infinity();
+}  // namespace
 
 Simulator::Simulator(const graph::Cdcg& cdcg, const noc::Topology& topo,
                      const energy::Technology& tech, SimOptions options)
@@ -17,7 +22,8 @@ Simulator::Simulator(const graph::Cdcg& cdcg, const noc::Topology& topo,
       routes_(topo, options.routing),
       lambda_(tech.clock_period_ns),
       tr_(static_cast<double>(tech.tr_cycles) * tech.clock_period_ns),
-      tl_(static_cast<double>(tech.tl_cycles) * tech.clock_period_ns) {
+      tl_(static_cast<double>(tech.tl_cycles) * tech.clock_period_ns),
+      static_power_(energy::static_noc_power(tech, topo.num_tiles())) {
   tech_.validate();
   cdcg_.validate(/*require_connected=*/false);
 
@@ -494,19 +500,20 @@ void Simulator::deliver(Queue queue, graph::PacketId p, double delivered_ns,
   }
 }
 
-const SimulationResult& Simulator::run(const mapping::Mapping& mapping) {
-  run_impl<false>(mapping, scalar_result_);
+const SimulationResult& Simulator::run(const mapping::Mapping& mapping,
+                                       double reject_above) {
+  run_impl<false>(mapping, reject_above, scalar_result_);
   return scalar_result_;
 }
 
 SimulationResult Simulator::run_traced(const mapping::Mapping& mapping) {
   SimulationResult out;
-  run_impl<true>(mapping, out);
+  run_impl<true>(mapping, kNoBound, out);
   return out;
 }
 
 template <bool Full>
-void Simulator::run_impl(const mapping::Mapping& mapping,
+void Simulator::run_impl(const mapping::Mapping& mapping, double reject_above,
                          SimulationResult& out) {
   sync_bind(mapping);
 
@@ -515,6 +522,7 @@ void Simulator::run_impl(const mapping::Mapping& mapping,
   out.energy = energy::EnergyBreakdown{};
   out.total_contention_ns = 0.0;
   out.num_contended_packets = 0;
+  out.stopped = false;
   out.flit_stall_ns = 0.0;
   out.flit_backpressure_ns = 0.0;
   out.flit_max_occupancy = 0.0;
@@ -537,23 +545,44 @@ void Simulator::run_impl(const mapping::Mapping& mapping,
   out.energy.dynamic_j = dynamic_j;
 
   if (!Full && ckpt_active_) {
+    // A stop would leave the snapshot ladder describing a run that never
+    // finished, so checkpointed runs ignore the bound.
     run_ckpt(out);
+  } else if (dynamic_j > reject_above) {
+    // Static energy is never negative, so the total is above the bound
+    // too: nothing to simulate.
+    out.stopped = true;
   } else {
     // Traced runs leave the arena in a state the snapshots no longer
     // describe; the next checkpointed run re-records from scratch.
     ckpt_valid_ = false;
     reset_arena<Full>();
+    Progress st;
     if (options_.backend == SimBackend::kFlit) {
       std::fill(port_slot_free_.begin(), port_slot_free_.end(), 0.0);
       std::fill(port_clear_.begin(), port_clear_.end(), 0.0);
-      run_from_roots<Full>(HeapQueue{queue_}, FlitGate(*this), out);
+      st = run_from_roots<Full>(HeapQueue{queue_}, FlitGate(*this),
+                                reject_above, out);
     } else if (!Full && bucket_mode_) {
       bucket_.begin_run();
-      run_from_roots<false>(BucketCalendar{bucket_}, LinkClaim{}, out);
-      bucket_.finish_run();
+      st = run_from_roots<false>(BucketCalendar{bucket_}, LinkClaim{},
+                                 reject_above, out);
+      if (st.delivered == num_packets) {
+        bucket_.finish_run();
+      } else {
+        // Every injected packet (pending count 0) that is not delivered
+        // holds exactly one queued event.
+        std::size_t injected = 0;
+        for (graph::PacketId p = 0; p < num_packets; ++p) {
+          injected += pending_[p] == 0;
+        }
+        bucket_.abandon_run(injected - st.delivered);
+      }
     } else {
-      run_from_roots<Full>(HeapQueue{queue_}, LinkClaim{}, out);
+      st = run_from_roots<Full>(HeapQueue{queue_}, LinkClaim{}, reject_above,
+                                out);
     }
+    out.stopped = st.delivered != num_packets;
   }
 
   if constexpr (Full) {
@@ -570,8 +599,8 @@ void Simulator::run_impl(const mapping::Mapping& mapping,
     }
   }
 
-  out.energy.static_j =
-      energy::static_noc_energy(tech_, topo_.num_tiles(), out.texec_ns);
+  // Equation 9, the product run_loop()'s bound test forms.
+  out.energy.static_j = static_power_ * out.texec_ns;
 }
 
 template <bool Full>
@@ -665,7 +694,8 @@ void Simulator::run_ckpt(SimulationResult& out) {
     reset_arena<false>();
     std::fill(ev_state_.begin(), ev_state_.end(), std::uint8_t{0});
     ckpt_count_ = 0;
-    st = run_from_roots<false, true>(HeapQueue{queue_}, LinkClaim{}, out);
+    st = run_from_roots<false, true>(HeapQueue{queue_}, LinkClaim{}, kNoBound,
+                                     out);
     ckpt_replays_since_refresh_ = 0;
   } else {
     const Ckpt& c = ckpts_[slot];
@@ -709,7 +739,7 @@ void Simulator::run_ckpt(SimulationResult& out) {
       for (graph::PacketId p = 0; p < num_packets; ++p) {
         if (ev_state_[p] == 1) heap.push(ev_time_[p], p, ev_hop_[p]);
       }
-      st = run_loop<false, true>(heap, LinkClaim{}, st, out);
+      st = run_loop<false, true>(heap, LinkClaim{}, st, kNoBound, out);
     } else {
       bucket_.begin_run();
       BucketCalendar calendar{bucket_};
@@ -725,7 +755,7 @@ void Simulator::run_ckpt(SimulationResult& out) {
           calendar.push(ev_time_[p], p, ev_hop_[p]);
         }
       }
-      st = run_loop<false, false>(calendar, LinkClaim{}, st, out);
+      st = run_loop<false, false>(calendar, LinkClaim{}, st, kNoBound, out);
       bucket_.finish_run();
       // Heap-equivalent accounting (fused ejections are never popped):
       // every packet pops once per router. The shadow is stale now, so the
@@ -749,12 +779,13 @@ void Simulator::run_ckpt(SimulationResult& out) {
 
 template <bool Full, bool Ckpt, class Queue, class Flow>
 Simulator::Progress Simulator::run_from_roots(Queue queue, const Flow& flow,
+                                              double reject_above,
                                               SimulationResult& out) {
   for (graph::PacketId p = 0; p < cdcg_.num_packets(); ++p) {
     if (pending_[p] == 0) inject<Full, Ckpt>(queue, p, out);
   }
   if constexpr (Ckpt) record_ckpt(Progress{}, out);
-  return run_loop<Full, Ckpt>(queue, flow, Progress{}, out);
+  return run_loop<Full, Ckpt>(queue, flow, Progress{}, reject_above, out);
 }
 
 /// The event loop. Keys are unique ((time, packet, hop) — a packet has one
@@ -763,9 +794,17 @@ Simulator::Progress Simulator::run_from_roots(Queue queue, const Flow& flow,
 /// uncontended case adds an exact +0.0, which leaves every accumulator
 /// byte-identical. With Ckpt the loop maintains the per-packet queued-event
 /// shadow and snapshots the arena at every ckpt_interval_res_-th pop.
+///
+/// After each delivery the loop forms Equation 10 of the schedule so far,
+/// the dynamic energy plus the static power times the makespan so far, with
+/// the same two roundings run_impl() and total_j() apply to the final
+/// makespan. The makespan never decreases and IEEE rounding is monotone, so
+/// this value never exceeds the final one, and the loop may stop as soon as
+/// it exceeds `reject_above`.
 template <bool Full, bool Ckpt, class Queue, class Flow>
 Simulator::Progress Simulator::run_loop(Queue queue, const Flow& flow,
-                                        Progress st, SimulationResult& out) {
+                                        Progress st, double reject_above,
+                                        SimulationResult& out) {
   static_assert(!Queue::kFusedEjection ||
                     (!Full && !Ckpt && std::is_same_v<Flow, LinkClaim>),
                 "the fused ejection materializes no ejection event");
@@ -773,6 +812,12 @@ Simulator::Progress Simulator::run_loop(Queue queue, const Flow& flow,
   const std::size_t stride = arena_stride_;
   const double tr = tr_;
   const double tl = tl_;
+  const double dynamic_j = out.energy.dynamic_j;
+  const double static_power = static_power_;
+  const auto over_bound = [&] {
+    const double static_j = static_power * st.texec;
+    return dynamic_j + static_j > reject_above;
+  };
   std::uint64_t next_rec = 0;
   if constexpr (Ckpt) {
     next_rec = (st.pops / ckpt_interval_res_ + 1) * ckpt_interval_res_;
@@ -816,6 +861,7 @@ Simulator::Progress Simulator::run_loop(Queue queue, const Flow& flow,
         // the unfused ejection does: ((header_out + tl) + tr) + n_tl.
         deliver<Full, Ckpt>(queue, p, ((header_out + tl) + tr) + n_tl, st,
                             out);
+        if (over_bound()) break;
       } else {
         if constexpr (Ckpt) {
           ev_time_[p] = header_out + tl;
@@ -834,6 +880,7 @@ Simulator::Progress Simulator::run_loop(Queue queue, const Flow& flow,
         }
       }
       deliver<Full, Ckpt>(queue, p, header_out + n_tl, st, out);
+      if (over_bound()) break;
     }
   }
   out.texec_ns = st.texec;

@@ -34,13 +34,16 @@
 /// occupancy lists) with zero heap allocations in the steady state.
 /// run_traced(mapping) produces the full SimulationResult of simulate(),
 /// which is a thin wrapper over this class. Both paths run the same event
-/// loop, so scalar and traced results agree bitwise.
+/// loop, so scalar and traced results agree bitwise. A scalar run may carry
+/// a rejection bound and stop once its energy is sure to exceed it; the
+/// unbounded run is the same run with a bound of +infinity.
 ///
 /// A Simulator instance is NOT thread-safe (it mutates its arena); give each
 /// thread its own instance. CdcmCost owns one per cost-function object, and
 /// the parallel searches build one cost function per worker.
 
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "nocmap/graph/cdcg.hpp"
@@ -84,7 +87,18 @@ class Simulator {
   /// energy, contention); its `packets` and `occupancy` vectors stay empty.
   /// The reference is valid until the next run()/run_traced() call on this
   /// instance.
-  const SimulationResult& run(const mapping::Mapping& mapping);
+  ///
+  /// `reject_above` bounds the run: it stops as soon as its Equation-10
+  /// energy is certain to exceed the bound, before injecting anything when
+  /// the dynamic energy alone does, otherwise at the first delivery after
+  /// which the dynamic energy plus the static power times the makespan so
+  /// far does. A stopped result has `stopped` set and
+  /// energy.total_j() > reject_above; a run that completes is bitwise the
+  /// unbounded run (docs/simulation.md, "Bounded runs"). Runs with
+  /// checkpointing_active() ignore the bound.
+  const SimulationResult& run(
+      const mapping::Mapping& mapping,
+      double reject_above = std::numeric_limits<double>::infinity());
 
   /// Evaluate `mapping` and return the full result by value: per-packet
   /// records always, hop/occupancy traces when options.record_traces. This
@@ -123,18 +137,21 @@ class Simulator {
   struct FlitGate;
 
   template <bool Full>
-  void run_impl(const mapping::Mapping& mapping, SimulationResult& out);
+  void run_impl(const mapping::Mapping& mapping, double reject_above,
+                SimulationResult& out);
   /// The one event loop: one event per router of every route, popped from
   /// `queue` (the heap, or the integer-time calendar), with `flow` adding
   /// its buffer model's constraints to link arbitration. Full records
   /// traces; Ckpt (scalar heap runs only) keeps the queued-event shadow and
-  /// snapshots the arena every ckpt_interval_res_ pops. Resumes from `st`.
+  /// snapshots the arena every ckpt_interval_res_ pops. Resumes from `st`,
+  /// and returns early, with packets undelivered, after the first delivery
+  /// that takes the energy so far above `reject_above`.
   template <bool Full, bool Ckpt, class Queue, class Flow>
   Progress run_loop(Queue queue, const Flow& flow, Progress st,
-                    SimulationResult& out);
+                    double reject_above, SimulationResult& out);
   /// Inject every root packet, then run the loop from the start.
   template <bool Full, bool Ckpt = false, class Queue, class Flow>
-  Progress run_from_roots(Queue queue, const Flow& flow,
+  Progress run_from_roots(Queue queue, const Flow& flow, double reject_above,
                           SimulationResult& out);
   template <bool Full, bool Ckpt, class Queue>
   void inject(Queue queue, graph::PacketId p, SimulationResult& out);
@@ -184,6 +201,7 @@ class Simulator {
 
   // --- Bound once per (cdcg, tech): timing constants, immutable packet data.
   double lambda_, tr_, tl_;
+  double static_power_;  ///< Equation 5: the NoC's static power, J/ns.
   std::vector<HotPacket> hot_;
   std::vector<double> flits_;     ///< Per-packet flit count (as double).
   std::vector<double> comp_ns_;   ///< Per-packet t_aq * lambda.

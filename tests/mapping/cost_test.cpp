@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <utility>
+#include <vector>
+
 #include "nocmap/noc/mesh.hpp"
+#include "nocmap/util/rng.hpp"
 #include "nocmap/workload/paper_example.hpp"
+#include "nocmap/workload/suite.hpp"
 
 namespace nocmap::mapping {
 namespace {
@@ -78,6 +84,60 @@ TEST_F(CostTest, CdcmSeparatesMappingsThatCwmCannot) {
   const Mapping b = workload::paper_mapping_b();
   EXPECT_DOUBLE_EQ(cwm.cost(a), cwm.cost(b));  // CWM is blind (Figure 2).
   EXPECT_GT(cdcm.cost(a), cdcm.cost(b));       // CDCM sees the contention.
+}
+
+/// A run that throws leaves no cache entry behind. Pricing a mapping built
+/// for another board throws; the cache used to take the mapping before its
+/// run, so the next call with it returned the previous mapping's cost.
+TEST_F(CostTest, CdcmCostCachesOnlyCompletedRuns) {
+  const energy::Technology tech = energy::technology_0_07u();
+  const std::vector<workload::SuiteEntry> apps =
+      workload::table1_suite_for("3 x 2");
+  ASSERT_FALSE(apps.empty());
+  const workload::SuiteEntry& romberg = apps.front();
+  ASSERT_EQ(romberg.name, "romberg-v1");
+  const graph::Cdcg& cdcg = romberg.cdcg;
+  const noc::Mesh board(3, 2);
+  const noc::Mesh other(4, 2);
+  const CdcmCost cost(cdcg, board, tech);
+  util::Rng rng(1);
+  const Mapping m = Mapping::random(board, cdcg.num_cores(), rng);
+  const Mapping foreign = Mapping::random(other, cdcg.num_cores(), rng);
+  const double priced = cost.cost(m);
+
+  EXPECT_THROW(cost.cost(foreign), std::invalid_argument);
+  EXPECT_THROW(cost.cost(foreign), std::invalid_argument);
+  EXPECT_THROW(cost.swap_delta(foreign, 0, 1), std::invalid_argument);
+  EXPECT_THROW(cost.cost(foreign), std::invalid_argument);
+  Mapping moved = foreign;
+  const std::pair<noc::TileId, noc::TileId> swaps[] = {{0, 1}, {2, 3}};
+  EXPECT_THROW(cost.move_delta(moved, swaps, 2), std::invalid_argument);
+  EXPECT_THROW(cost.cost(foreign), std::invalid_argument);
+  EXPECT_EQ(cost.cost(m), priced);
+}
+
+/// cost_within() is cost() bit for bit up to the bound and above the bound
+/// otherwise, and a stopped simulation never enters the cache: the next
+/// unbounded call prices the mapping in full. CWM takes the default.
+TEST_F(CostTest, CostWithinIsExactUpToTheBound) {
+  const energy::Technology tech = energy::technology_0_07u();
+  const workload::SuiteEntry romberg = workload::table1_suite_for("3 x 2")[0];
+  const noc::Mesh board(3, 2);
+  const CdcmCost reference(romberg.cdcg, board, tech);
+  const CdcmCost bounded(romberg.cdcg, board, tech);
+  const graph::Cwg cwg = romberg.cdcg.to_cwg();
+  const CwmCost cwm(cwg, board, tech);
+  util::Rng rng(4);
+  for (int trial = 0; trial < 20; ++trial) {
+    const Mapping m = Mapping::random(board, romberg.cdcg.num_cores(), rng);
+    const double want = reference.cost(m);
+    EXPECT_GT(bounded.cost_within(m, 0.0), 0.0);  // Stops before injecting.
+    EXPECT_GT(bounded.cost_within(m, want / 2), want / 2);
+    EXPECT_EQ(bounded.cost(m), want);
+    EXPECT_EQ(bounded.cost_within(m, want), want);
+    EXPECT_EQ(bounded.cost_within(m, 0.0), want);  // A cache hit.
+    EXPECT_EQ(cwm.cost_within(m, 0.0), cwm.cost(m));
+  }
 }
 
 }  // namespace

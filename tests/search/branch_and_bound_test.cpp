@@ -64,6 +64,9 @@ TEST(BranchAndBoundTest, MatchesExhaustiveCdcmOnAllTopologies) {
                                   std::string("xmesh")}) {
     SCOPED_TRACE(kind);
     const std::unique_ptr<noc::Topology> topo = noc::make_topology(kind, 3, 3);
+    // One cost function for both searches: ES stops simulating losing
+    // candidates, and B&B, which prices in full, runs on the same arena
+    // after it, so a stop must leave nothing behind.
     const mapping::CdcmCost cost(cdcg, *topo, tech);
     EsOptions full;
     full.use_symmetry = false;

@@ -2,7 +2,9 @@
 /// Exhaustive search sharded over several workers must reproduce the
 /// one-worker search bit for bit — same winner, cost, initial cost and
 /// evaluation count — for the CWM and CDCM objectives, at every worker
-/// count, including under a budget.
+/// count, including under a budget. CDCM's bounded pricing, which stops
+/// simulating a candidate once it is sure to lose, must give what full
+/// pricing gives.
 
 #include <memory>
 #include <stdexcept>
@@ -75,6 +77,72 @@ TEST_P(BatchedEsTest, MatchesSerialCwmSearch) {
         return std::make_unique<mapping::CwmCost>(cwg, *topo, tech);
       },
       *topo);
+}
+
+/// CDCM priced in full: it overrides cost() but not cost_within(), so
+/// exhaustive search prices every candidate with the unbounded default. It
+/// forwards the symmetry group, so both searches enumerate the same
+/// placements.
+class FullPricingCdcm final : public mapping::CostFunction {
+ public:
+  FullPricingCdcm(const graph::Cdcg& cdcg, const noc::Topology& topo,
+                  const energy::Technology& tech, sim::SimOptions options)
+      : inner_(cdcg, topo, tech, noc::RoutingAlgorithm::kXY, options) {}
+
+  double cost(const mapping::Mapping& m) const override {
+    return inner_.cost(m);
+  }
+  std::string name() const override { return "full-pricing CDCM"; }
+  std::size_t num_cores() const override { return inner_.num_cores(); }
+  std::vector<std::vector<noc::TileId>> symmetry_group(
+      const noc::Topology& topo) const override {
+    return inner_.symmetry_group(topo);
+  }
+
+ private:
+  mapping::CdcmCost inner_;
+};
+
+/// Bounded CDCM pricing (the running best on one worker, the best at each
+/// shard's start on more) against full pricing, under link-claim and flit
+/// depth 1, with and without symmetry, unbudgeted and with budgets that end
+/// inside the first shard and inside the second shard of two workers.
+TEST_P(BatchedEsTest, BoundedCdcmPricingMatchesFullPricing) {
+  const std::unique_ptr<noc::Topology> topo =
+      noc::make_topology(GetParam(), 3, 3, {});
+  const graph::Cdcg cdcg = random_cdcg(5, 33);
+  const energy::Technology tech = energy::technology_0_07u();
+  sim::SimOptions flit;
+  flit.backend = sim::SimBackend::kFlit;
+  flit.buffer_depth = 1;
+  for (const sim::SimOptions& so : {sim::SimOptions{}, flit}) {
+    for (const bool symmetry : {true, false}) {
+      for (const std::uint64_t budget : {0u, 137u, 2500u}) {
+        SCOPED_TRACE(std::string(so.backend == sim::SimBackend::kFlit
+                                     ? "flit depth 1"
+                                     : "link-claim") +
+                     (symmetry ? ", symmetry" : ", no symmetry") +
+                     ", budget " + std::to_string(budget));
+        EsOptions options;
+        options.use_symmetry = symmetry;
+        options.max_evaluations = budget;
+        const SearchResult full = exhaustive_search(
+            FullPricingCdcm(cdcg, *topo, tech, so), *topo, options);
+        for (const std::uint32_t threads : {1u, 2u, 4u, 7u}) {
+          SCOPED_TRACE(threads);
+          options.threads = threads;
+          expect_same(
+              exhaustive_search(
+                  [&]() -> std::unique_ptr<mapping::CostFunction> {
+                    return std::make_unique<mapping::CdcmCost>(
+                        cdcg, *topo, tech, noc::RoutingAlgorithm::kXY, so);
+                  },
+                  *topo, options),
+              full);
+        }
+      }
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllTopologies, BatchedEsTest,

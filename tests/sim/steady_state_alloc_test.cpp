@@ -2,7 +2,8 @@
 /// The evaluation hot paths allocate nothing in the steady state: once a
 /// warm-up has grown the arenas, Simulator::run() and the CdcmCost
 /// swap_delta + apply_swap pair price a move without touching the heap,
-/// under the link-claim backend and under the flit backend.
+/// under the link-claim backend and under the flit backend. So do bounded
+/// runs, stopped or completed, and CdcmCost::cost_within.
 ///
 /// The binary replaces the global allocation functions with counting
 /// versions, which is why it is a test executable of its own. The nothrow
@@ -12,9 +13,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <limits>
 #include <memory>
 #include <new>
 #include <string>
@@ -127,6 +130,68 @@ TEST(SteadyStateAllocTest, PricingAMoveAllocatesNothing) {
                 }),
                 0u)
           << "CdcmCost::swap_delta + apply_swap";
+    }
+  }
+}
+
+/// Bounded runs on the bucket calendar (link-claim, the 0.07u preset's
+/// integral times) and on the flit backend at depth 8: a run bounded by its
+/// own dynamic energy stops at its first delivery with packets still
+/// queued, one bounded by its cost completes. CdcmCost::cost_within is
+/// driven as exhaustive search drives it, against the running best, plus a
+/// bound of zero that stops before any injection.
+TEST(SteadyStateAllocTest, BoundedRunsAllocateNothing) {
+  const energy::Technology tech = energy::technology_0_07u();
+  for (const std::uint32_t side : {3u, 8u}) {
+    for (const bool flit : {false, true}) {
+      SCOPED_TRACE(std::to_string(side) + "x" + std::to_string(side) +
+                   (flit ? " flit" : " calendar"));
+      const std::unique_ptr<noc::Topology> topo =
+          noc::make_topology("mesh", side, side);
+      const graph::Cdcg cdcg = bench_workload(*topo);
+      sim::SimOptions options;
+      options.record_traces = false;
+      if (flit) {
+        options.backend = sim::SimBackend::kFlit;
+        options.buffer_depth = 8;
+      }
+      util::Rng rng(3);
+      mapping::Mapping m(*topo, cdcg.num_cores());
+      const auto random_swap = [&] {
+        const auto a = static_cast<noc::TileId>(rng.index(topo->num_tiles()));
+        noc::TileId b = a;
+        while (b == a) {
+          b = static_cast<noc::TileId>(rng.index(topo->num_tiles()));
+        }
+        m.swap_tiles(a, b);
+      };
+
+      sim::Simulator simulator(cdcg, *topo, tech, options);
+      std::uint64_t stopped = 0;
+      std::uint64_t completed = 0;
+      EXPECT_EQ(steady_state_allocations([&] {
+                  random_swap();
+                  const sim::SimulationResult& full = simulator.run(m);
+                  const double dynamic = full.energy.dynamic_j;
+                  const double total = full.energy.total_j();
+                  stopped += simulator.run(m, dynamic).stopped;
+                  completed += !simulator.run(m, total).stopped;
+                }),
+                0u)
+          << "Simulator::run with a bound";
+      EXPECT_EQ(stopped, std::uint64_t{kWarmupMoves + kCountedMoves});
+      EXPECT_EQ(completed, std::uint64_t{kWarmupMoves + kCountedMoves});
+
+      const mapping::CdcmCost cost(cdcg, *topo, tech,
+                                   noc::RoutingAlgorithm::kXY, options);
+      double best = std::numeric_limits<double>::infinity();
+      EXPECT_EQ(steady_state_allocations([&] {
+                  random_swap();
+                  best = std::min(best, cost.cost_within(m, best));
+                  cost.cost_within(m, 0.0);
+                }),
+                0u)
+          << "CdcmCost::cost_within";
     }
   }
 }
