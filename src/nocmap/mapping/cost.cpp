@@ -1,6 +1,7 @@
 #include "nocmap/mapping/cost.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <numeric>
 #include <stdexcept>
@@ -273,8 +274,12 @@ namespace {
 /// entry moved, and re-augments only the unmatched rows. Entries never
 /// decrease down a placement path, so the parent's potentials stay
 /// dual-feasible and the warm solve reaches the optimum a cold solve
-/// would; the matrix itself is bitwise the one a cold build produces
-/// (docs/search.md).
+/// would; the matrix itself is bitwise the one a cold build produces.
+/// By weak duality the potentials bound that optimum from below after
+/// every augment, so a warm solve stops as soon as its dual objective
+/// proves the prune and leaves its depth unsolved: an answer above
+/// prune_above may lie below the cold value, while one at or below it
+/// agrees with the cold value to 1e-12 relative (docs/search.md).
 class HopLowerBound final : public CostFunction::LowerBound {
  public:
   HopLowerBound(std::vector<graph::CwgEdge> edges, std::size_t num_cores,
@@ -401,11 +406,12 @@ class HopLowerBound final : public CostFunction::LowerBound {
     }
     if (!level.solved) {
       if (parent && parent->solved) {
-        warm_solve(level, *parent);
-      } else {
-        cold_solve(level);
+        // The warm solve stops early once its dual objective proves the
+        // prune by the margin that covers the dual's rounding.
+        const double stop = prune_above + kDualMargin * std::abs(prune_above);
+        return base + warm_solve(level, *parent, stop - base);
       }
-      level.solved = true;
+      cold_solve(level);
     }
     return base + level.value;
   }
@@ -420,6 +426,10 @@ class HopLowerBound final : public CostFunction::LowerBound {
   /// No partner: a free row or a free column of the assignment.
   static constexpr std::uint32_t kNone =
       std::numeric_limits<std::uint32_t>::max();
+  /// Relative margin by which a dual objective must exceed prune_above to
+  /// stop a warm solve: it covers the rounding of the potentials and of
+  /// their sum, so the full solve would have pruned too.
+  static constexpr double kDualMargin = 1e-12;
 
   /// One edge endpoint as seen from a core; in the scratch buffer of
   /// gather() `other` is reused to hold the placed partner's *tile*.
@@ -606,13 +616,20 @@ class HopLowerBound final : public CostFunction::LowerBound {
       level.col_of_row[r] = free_[next];
     }
     level.value = matched_cost(level);
+    level.solved = true;
   }
 
   /// Warm start from the parent's optimum: drop the placed core's row and
   /// the taken tile's column, free every repriced row whose matched entry
   /// moved, and re-augment only the free rows. Entries only grew, so the
   /// potentials stay dual-feasible and every kept match stays tight.
-  void warm_solve(Level& level, const Level& parent) const {
+  ///
+  /// Returns the optimum and marks the level solved. Between augments the
+  /// dual objective already bounds the optimum from below (weak duality):
+  /// once it exceeds `stop_above`, the solve stops and returns it instead,
+  /// leaving the level unsolved.
+  double warm_solve(Level& level, const Level& parent,
+                    double stop_above) const {
     const Placement last = order_[num_placed_ - 1];
     level.u = parent.u;
     level.v = parent.v;
@@ -631,11 +648,34 @@ class HopLowerBound final : public CostFunction::LowerBound {
         level.col_of_row[c] = kNone;
       }
     }
+    bool augmented = false;
     for (std::uint32_t r = 0; r < num_tiles_; ++r) {
       if (r < num_cores_ && placed_[r] != kUnplaced) continue;
-      if (level.col_of_row[r] == kNone) augment(level, r);
+      if (level.col_of_row[r] != kNone) continue;
+      // Checked after each augment but the last, which ends the solve.
+      if (augmented) {
+        const double dual = dual_value(level);
+        if (dual > stop_above) return dual;
+      }
+      augment(level, r);
+      augmented = true;
     }
     level.value = matched_cost(level);
+    level.solved = true;
+    return level.value;
+  }
+
+  /// The dual objective: row potentials of the live rows (unplaced cores
+  /// and dummies) plus column potentials of the free tiles. Dual-feasible
+  /// potentials make it a lower bound on the optimal assignment cost.
+  double dual_value(const Level& level) const {
+    double dual = 0.0;
+    for (std::uint32_t r = 0; r < num_tiles_; ++r) {
+      if (r < num_cores_ && placed_[r] != kUnplaced) continue;
+      dual += level.u[r];
+    }
+    for (const noc::TileId t : free_) dual += level.v[t];
+    return dual;
   }
 
   /// Match free row `root`: one shortest-augmenting-path phase of the

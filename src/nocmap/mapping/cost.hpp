@@ -184,16 +184,19 @@ class CostFunction {
     /// bound exceeds it. An implementation may return any admissible bound
     /// already known to exceed prune_above without computing its tightest
     /// one (HopLowerBound skips the assignment solve when the cheap
-    /// row-minima bound already proves the prune), so pass the incumbent
-    /// when pruning and +infinity when the tight value itself is wanted.
+    /// row-minima bound already proves the prune, and stops a warm solve
+    /// once its dual objective does), so pass the incumbent when pruning
+    /// and +infinity when the tight value itself is wanted.
     ///
     /// The value depends only on the placement sequence since reset() and
     /// the bound() calls made along it. An evaluator may reuse state saved
     /// at earlier depths of that sequence (HopLowerBound warm-starts its
     /// assignment from the parent depth's solution), but never state from
-    /// a sibling or from before reset(). A reused state changes the value
-    /// only by rounding: it agrees with a fresh evaluator's to 1e-12
-    /// relative, far inside the search's 1e-9 prune slack.
+    /// a sibling or from before reset(). With reused state, an answer at or
+    /// below prune_above agrees with a fresh evaluator's to 1e-12 relative,
+    /// far inside the search's 1e-9 prune slack; an answer above it may lie
+    /// below the fresh one, but is still admissible and still proves the
+    /// prune.
     virtual double bound(double prune_above) const = 0;
     double bound() const {
       return bound(std::numeric_limits<double>::infinity());

@@ -237,12 +237,14 @@ PortfolioResult portfolio(const CostFactory& make_cost,
       out.curve.push_back(AnytimeSample{s.moves, running, wall});
     }
   }
-  // Terminal point: fold in the B&B member and the polish.
+  // Terminal point: fold in the B&B member and the polish. Its moves stay
+  // the SA members' count (the B&B member's sample counts bound tests, not
+  // priced moves); its wall time covers every member.
   AnytimeSample final_point;
+  final_point.moves = out.curve.empty() ? 0 : out.curve.back().moves;
   final_point.best_j = std::min(running, out.best.best_cost);
   for (const PortfolioMemberOutcome& o : out.members) {
     for (const AnytimeSample& s : o.samples) {
-      final_point.moves = std::max(final_point.moves, s.moves);
       final_point.wall_ms = std::max(final_point.wall_ms, s.wall_ms);
     }
   }

@@ -13,6 +13,7 @@
 
 #include "nocmap/util/rng.hpp"
 #include "nocmap/workload/random_cdcg.hpp"
+#include "nocmap/workload/suite.hpp"
 
 namespace nocmap::mapping {
 namespace {
@@ -266,6 +267,83 @@ TEST(LowerBoundPropertyTest, WarmStartsMatchColdSolvesOnRandomWalks) {
       }
     }
   }
+}
+
+/// Dual-certified prunes on a large board: a depth-first placement walk
+/// over random-big-1's CWG on its 8x8 mesh, heaviest cores first, where a
+/// warm solve re-augments many rows and stops once its dual objective
+/// proves the prune. Each node draws a finite prune_above around the tight
+/// bound and must answer it as a fresh evaluator does: the same
+/// `> prune_above` decision, never above the tight bound, and the cold
+/// value itself when not pruned. Some pruned answers must lie below the
+/// cold answer, which is the tight bound unless the row-minima cascade
+/// answered first: those are the early answers of the dual.
+TEST(LowerBoundPropertyTest, DualCertifiedPrunesKeepDecisionsOnALargeBoard) {
+  const energy::Technology tech = energy::technology_0_07u();
+  const std::vector<workload::SuiteEntry> suite = workload::table1_suite();
+  const auto entry = std::find_if(
+      suite.begin(), suite.end(),
+      [](const workload::SuiteEntry& e) { return e.name == "random-big-1"; });
+  ASSERT_NE(entry, suite.end());
+  const std::unique_ptr<noc::Topology> topo =
+      noc::make_topology("mesh", entry->noc_width, entry->noc_height);
+  const graph::Cwg cwg = entry->cdcg.to_cwg();
+  const CwmCost cwm(cwg, *topo, tech);
+  const std::unique_ptr<CostFunction::LowerBound> lb = cwm.make_lower_bound();
+
+  std::vector<graph::CoreId> order(cwg.num_cores());
+  std::iota(order.begin(), order.end(), graph::CoreId{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](graph::CoreId a, graph::CoreId b) {
+                     return lb->core_traffic(a) > lb->core_traffic(b);
+                   });
+  util::Rng rng(0xD0A1);
+  constexpr int kSteps = 300;
+  std::vector<graph::CoreId> cores;  // Placement sequence, oldest first.
+  std::vector<noc::TileId> tiles;
+  std::vector<char> tile_used(topo->num_tiles(), 0);
+  int early = 0;
+  for (int step = 0; step < kSteps; ++step) {
+    SCOPED_TRACE(step);
+    if (cores.size() == order.size() ||
+        (cores.size() > 1 && rng.uniform01() < 0.3)) {
+      // Backtrack one to four levels.
+      const std::size_t up =
+          1 + rng.index(std::min<std::size_t>(cores.size(), 4));
+      for (std::size_t k = 0; k < up; ++k) {
+        lb->unplace(cores.back(), tiles.back());
+        tile_used[tiles.back()] = 0;
+        cores.pop_back();
+        tiles.pop_back();
+      }
+    }
+    std::vector<noc::TileId> free;
+    for (noc::TileId t = 0; t < topo->num_tiles(); ++t) {
+      if (!tile_used[t]) free.push_back(t);
+    }
+    const graph::CoreId core = order[cores.size()];
+    const noc::TileId tile = free[rng.index(free.size())];
+    lb->place(core, tile);
+    cores.push_back(core);
+    tiles.push_back(tile);
+    tile_used[tile] = 1;
+
+    const double tight = cold_bound(cwm, cores, tiles, kUnbounded);
+    const double prune_above = tight * rng.uniform(0.98, 1.02);
+    const double warm = lb->bound(prune_above);
+    const double cold = cold_bound(cwm, cores, tiles, prune_above);
+    EXPECT_EQ(warm > prune_above, cold > prune_above);
+    EXPECT_LE(warm, tight + std::abs(tight) * kRelTol);
+    if (warm <= prune_above) {
+      EXPECT_NEAR(warm, cold, std::abs(cold) * kRelTol);
+    } else if (warm < cold - std::abs(cold) * kRelTol) {
+      ++early;
+    }
+    // Finish the node's solve, as a B&B visit would, so that its children
+    // warm-start from it.
+    EXPECT_NEAR(lb->bound(), tight, std::abs(tight) * kRelTol);
+  }
+  EXPECT_GT(early, 0);
 }
 
 TEST(LowerBoundTest, PlaceUnplaceMirrorsBoundExactly) {

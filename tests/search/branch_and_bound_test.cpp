@@ -319,14 +319,17 @@ TEST(BranchAndBoundTest, CountsAreConsistent) {
 
 // --- Pinned decisions -------------------------------------------------------
 //
-// Every prune decision is pinned through the node counters of two
-// single-threaded CWM runs from the greedy incumbent without SA seeding:
-// one exhaustive 3x4 tree and one budget-truncated 8x8 descent. The values
-// are those of a cold assignment solve at every node; the warm-started bound
-// must reproduce them exactly.
+// Every prune decision is pinned through the node counters of
+// single-threaded runs from the greedy incumbent without SA seeding: one
+// exhaustive 3x4 tree and budget-truncated descents on the three large
+// boards, under CWM and (random-big-2) CDCM. The first two were recorded
+// with a cold assignment solve at every node, the other four with a full
+// warm solve; the bound, whose warm solves stop once the dual objective
+// proves the prune, must reproduce all of them exactly.
 
 struct PinnedRun {
   std::string app;
+  bool cdcm;                ///< CdcmCost instead of CwmCost.
   std::uint64_t max_nodes;  ///< 0: no budget (the whole tree).
   std::uint64_t tested;
   std::uint64_t visited;
@@ -337,13 +340,22 @@ struct PinnedRun {
 TEST(BranchAndBoundTest, DecisionsArePinnedOnSuiteApps) {
   const energy::Technology tech = energy::technology_0_07u();
   const std::vector<PinnedRun> pinned = {
-      {"fft-v2", 0, 24827, 5120, 114680968, 1.2844799999999997e-09},
-      {"random-big-1", 2000, 2000, 40, kNodesPrunedSaturated,
+      {"fft-v2", false, 0, 24827, 5120, 114680968, 1.2844799999999997e-09},
+      {"random-big-1", false, 2000, 2000, 40, kNodesPrunedSaturated,
        5.5183330999999987e-06},
+      {"random-big-1", false, 50000, 50000, 874, kNodesPrunedSaturated,
+       5.5183330999999987e-06},
+      {"random-big-2", false, 10000, 10000, 131, kNodesPrunedSaturated,
+       0.00032080871722000014},
+      {"random-big-3", false, 10000, 10000, 105, kNodesPrunedSaturated,
+       0.00046748144387999998},
+      {"random-big-2", true, 3000, 3000, 64, kNodesPrunedSaturated,
+       0.00060958541722000014},
   };
   const std::vector<workload::SuiteEntry> suite = workload::table1_suite();
   for (const PinnedRun& pin : pinned) {
-    SCOPED_TRACE(pin.app);
+    SCOPED_TRACE(pin.app + (pin.cdcm ? " CDCM " : " CWM ") +
+                 std::to_string(pin.max_nodes));
     const auto entry = std::find_if(
         suite.begin(), suite.end(),
         [&](const workload::SuiteEntry& e) { return e.name == pin.app; });
@@ -351,14 +363,19 @@ TEST(BranchAndBoundTest, DecisionsArePinnedOnSuiteApps) {
     const std::unique_ptr<noc::Topology> topo =
         noc::make_topology("mesh", entry->noc_width, entry->noc_height);
     const graph::Cwg cwg = entry->cdcg.to_cwg();
-    const mapping::CwmCost cost(cwg, *topo, tech);
+    std::unique_ptr<mapping::CostFunction> cost;
+    if (pin.cdcm) {
+      cost = std::make_unique<mapping::CdcmCost>(entry->cdcg, *topo, tech);
+    } else {
+      cost = std::make_unique<mapping::CwmCost>(cwg, *topo, tech);
+    }
     const mapping::Mapping greedy = greedy_mapping(cwg, *topo);
     BnbOptions options;
     options.incumbent = &greedy;
     options.seed_with_sa = false;
     options.threads = 1;
     options.max_nodes = pin.max_nodes;
-    const SearchResult r = branch_and_bound(cost, *topo, options);
+    const SearchResult r = branch_and_bound(*cost, *topo, options);
     EXPECT_EQ(r.exhausted, pin.max_nodes == 0);
     EXPECT_EQ(r.nodes_tested, pin.tested);
     EXPECT_EQ(r.nodes_visited, pin.visited);

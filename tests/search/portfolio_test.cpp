@@ -121,6 +121,33 @@ TEST(PortfolioTest, CurveIsMonotoneAndEndsAtTheFinalBest) {
   EXPECT_EQ(pr.curve.back().best_j, pr.best.best_cost);
 }
 
+// The terminal point folds in the B&B member's cost, but its move count is
+// the SA members' largest: the B&B member's one sample counts bound tests,
+// which are not priced moves.
+TEST(PortfolioTest, FinalCurvePointCountsOnlySaMoves) {
+  Fixture f;
+  PortfolioOptions po = quick_options();
+  po.bnb_nodes = 20'000;  // More tests than any SA member prices moves.
+  const PortfolioResult pr =
+      portfolio(f.cwm_factory(), f.cwg, f.mesh, noc::RoutingAlgorithm::kXY,
+                po);
+  ASSERT_EQ(pr.members.back().label, "bnb");
+  std::uint64_t sa_moves = 0;
+  for (std::size_t i = 0; i + 1 < pr.members.size(); ++i) {
+    for (const AnytimeSample& s : pr.members[i].samples) {
+      sa_moves = std::max(sa_moves, s.moves);
+    }
+  }
+  // A terminal point that counted the B&B member's tests would show.
+  ASSERT_GT(pr.members.back().result.nodes_tested, sa_moves);
+  EXPECT_EQ(pr.curve.back().moves, sa_moves);
+  for (std::size_t k = 1; k < pr.curve.size(); ++k) {
+    EXPECT_LE(pr.curve[k].best_j, pr.curve[k - 1].best_j) << "index " << k;
+    EXPECT_GE(pr.curve[k].moves, pr.curve[k - 1].moves) << "index " << k;
+  }
+  EXPECT_EQ(pr.curve.back().best_j, pr.best.best_cost);
+}
+
 // A coarse checkpoint quantum must not hide improvements: every drop of a
 // member's incumbent lands in its sample list at the exact step it
 // happened, not at the next quantum boundary — so the merged curve has no

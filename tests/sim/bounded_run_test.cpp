@@ -36,7 +36,7 @@ std::vector<Backend> backends() {
   std::vector<Backend> out;
   SimOptions heap;
   heap.contend_local_in = true;  // The calendar never sees local-in contention.
-  out.push_back({"heap", heap});
+  out.push_back({"heap-local-in", heap});
   out.push_back({"calendar", SimOptions{}});
   for (const std::uint32_t depth : {1u, 8u}) {
     for (const char* mode : {"credit", "onoff", "vct"}) {
