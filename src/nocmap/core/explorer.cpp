@@ -11,23 +11,6 @@
 
 namespace nocmap::core {
 
-namespace {
-
-/// RNG stream of chain `chain` under `seed`. Chain 0 is Rng(seed) itself so
-/// single-chain runs reproduce the historical sequences; other chains hash
-/// the seed through SplitMix64 *before* mixing in the chain index, so the
-/// streams are decorrelated both across chains and across nearby seeds
-/// (hashing seed + chain directly would make (s, c+1) and (s+1, c)
-/// collide — adjacent rows of a seed sweep would share whole chains).
-util::Rng chain_rng(std::uint64_t seed, std::uint32_t chain) {
-  if (chain == 0) return util::Rng(seed);
-  util::Rng outer(seed);
-  util::Rng inner(outer() + chain);
-  return inner.split();
-}
-
-}  // namespace
-
 Explorer::Explorer(const graph::Cdcg& cdcg, const noc::Topology& topo,
                    ExplorerOptions options)
     : cdcg_(cdcg),
@@ -89,8 +72,8 @@ search::SearchResult Explorer::run_sa_chains(
   util::parallel_for_index(
       options_.threads, chains, [&](std::size_t worker, std::size_t chain) {
         if (!costs[worker]) costs[worker] = make_cost();
-        util::Rng rng =
-            chain_rng(options_.seed, static_cast<std::uint32_t>(chain));
+        util::Rng rng = search::chain_rng(
+            options_.seed, static_cast<std::uint32_t>(chain));
         results[chain] =
             search::anneal(*costs[worker], topo_, rng, sa, sa_initial);
       });

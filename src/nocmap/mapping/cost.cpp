@@ -128,16 +128,6 @@ double CwmCost::cost(const Mapping& m) const {
   return energy_j;
 }
 
-namespace {
-
-/// Repricing of one edge: shared by the scalar and batched paths so both
-/// build the identical expression tree (and therefore identical rounding).
-inline double reprice(double bits, double ebit_new, double ebit_old) {
-  return bits * ebit_new - bits * ebit_old;
-}
-
-}  // namespace
-
 // Collect (weight, old hops, new hops) for every edge the swap (a, b)
 // reprices, in scalar pricing order: the edges of the core on `a` first
 // (the mutual ca<->cb edge repriced with both endpoints moved), then the
@@ -203,30 +193,9 @@ double CwmCost::swap_delta(const Mapping& m, noc::TileId a,
   const double* ebit = ebit_.data();
   double delta = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
-    delta += reprice(w[i], ebit[k_new[i]], ebit[k_old[i]]);
+    delta += w[i] * ebit[k_new[i]] - w[i] * ebit[k_old[i]];
   }
   return delta;
-}
-
-void CwmCost::swap_deltas(const Mapping& m,
-                          const std::pair<noc::TileId, noc::TileId>* cands,
-                          std::size_t count, double* out) const {
-  const double* ebit = ebit_.data();
-  for (std::size_t c = 0; c < count; ++c) {
-    if (cands[c].first == cands[c].second) {
-      out[c] = 0.0;
-      continue;
-    }
-    const std::size_t n = gather_swap(m, cands[c].first, cands[c].second);
-    const double* w = batch_w_.data();
-    const std::uint32_t* k_old = batch_k_old_.data();
-    const std::uint32_t* k_new = batch_k_new_.data();
-    double delta = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      delta += reprice(w[i], ebit[k_new[i]], ebit[k_old[i]]);
-    }
-    out[c] = delta;
-  }
 }
 
 namespace {

@@ -132,19 +132,18 @@ class CostFunction {
 
   // --- Batched candidate pricing -------------------------------------------
 
-  /// True when swap_deltas() is genuinely batched (priced without running a
-  /// full evaluation per candidate) — the signal callers like
-  /// search::steepest_polish use to decide whether pricing a whole
-  /// neighbourhood at once is affordable.
+  /// True when swap_deltas() is cheap enough to price a whole neighbourhood
+  /// (no full evaluation per candidate, as CwmCost's O(deg) swap_delta) —
+  /// the signal callers like search::steepest_polish use to decide whether
+  /// pricing every candidate swap at once is affordable.
   virtual bool has_batched_deltas() const { return false; }
 
   /// Price `count` independent candidate swaps of the *same* base mapping at
   /// once: out[i] = swap_delta(m, cands[i].first, cands[i].second), bitwise.
   /// The default loops the scalar protocol (preserving any pacing state
-  /// semantics, e.g. HybridCost's cadence advances once per candidate);
-  /// CwmCost overrides it with a restructured flat-array hot loop whose
-  /// hop-table gathers and weight multiplies vectorize. Only callable when
-  /// has_swap_delta().
+  /// semantics, e.g. HybridCost's cadence advances once per candidate), and
+  /// every shipped objective uses it; forwarding wrappers may override it.
+  /// Only callable when has_swap_delta().
   virtual void swap_deltas(const Mapping& m,
                            const std::pair<noc::TileId, noc::TileId>* cands,
                            std::size_t count, double* out) const;
@@ -260,9 +259,6 @@ class CwmCost final : public CostFunction {
   double swap_delta(const Mapping& m, noc::TileId a,
                     noc::TileId b) const override;
   bool has_batched_deltas() const override { return true; }
-  void swap_deltas(const Mapping& m,
-                   const std::pair<noc::TileId, noc::TileId>* cands,
-                   std::size_t count, double* out) const override;
 
   bool has_lower_bound() const override { return true; }
   std::unique_ptr<LowerBound> make_lower_bound() const override;
@@ -272,15 +268,15 @@ class CwmCost final : public CostFunction {
 
  private:
   /// Gather the edges incident to the candidate swap (a, b) into the flat
-  /// scratch arrays (weight, old hop count, new hop count), in exactly the
-  /// order the scalar swap_delta() prices them. Returns the entry count.
+  /// scratch arrays (weight, old hop count, new hop count), in the order
+  /// swap_delta() prices them. Returns the entry count.
   std::size_t gather_swap(const Mapping& m, noc::TileId a,
                           noc::TileId b) const;
 
   std::vector<graph::CwgEdge> edges_;
   // Per-core incident edges in CSR form: entries for core c live at
   // [inc_offsets_[c], inc_offsets_[c + 1]). The flat parallel arrays keep
-  // the batched repricing loop free of pointer chasing, and the bit volume
+  // the repricing loop free of pointer chasing, and the bit volume
   // is stored pre-converted to double (the same conversion
   // dynamic_packet_energy performs).
   std::vector<std::uint32_t> inc_offsets_;

@@ -1,4 +1,4 @@
-#include "nocmap/noc/torus.hpp"
+#include "nocmap/noc/grid.hpp"
 
 #include <cmath>
 #include <stdexcept>
@@ -9,7 +9,7 @@ namespace nocmap::noc {
 
 namespace {
 
-// Direction slot encoding for link resources (same as the mesh's).
+// Direction slot encoding for link resources.
 enum Dir : std::uint32_t { kEast = 0, kWest = 1, kSouth = 2, kNorth = 3 };
 
 std::uint32_t ring_distance(std::int32_t a, std::int32_t b, std::uint32_t size,
@@ -21,21 +21,22 @@ std::uint32_t ring_distance(std::int32_t a, std::int32_t b, std::uint32_t size,
 
 }  // namespace
 
-Torus::Torus(std::uint32_t width, std::uint32_t height)
-    : Topology(width, height) {}
+Grid::Grid(std::uint32_t width, std::uint32_t height, bool wraps_x,
+           bool wraps_y)
+    : Topology(width, height), wraps_x_(wraps_x), wraps_y_(wraps_y) {}
 
-std::uint32_t Torus::distance(TileId a, TileId b) const {
+std::uint32_t Grid::distance(TileId a, TileId b) const {
   const Coord ca = coord(a);
   const Coord cb = coord(b);
   return ring_distance(ca.x, cb.x, width(), wraps_x()) +
          ring_distance(ca.y, cb.y, height(), wraps_y());
 }
 
-std::vector<TileId> Torus::neighbours(TileId tile) const {
+std::vector<TileId> Grid::neighbours(TileId tile) const {
   const Coord c = coord(tile);
   std::vector<TileId> out;
-  // N, S, E, W like the mesh; wrap a candidate instead of dropping it when
-  // its dimension is a ring.
+  // N, S, E, W; wrap a candidate instead of dropping it when its axis is a
+  // ring.
   const std::pair<Coord, bool> candidates[] = {
       {{c.x, c.y - 1}, false}, {{c.x, c.y + 1}, false},
       {{c.x + 1, c.y}, true},  {{c.x - 1, c.y}, true}};
@@ -54,12 +55,11 @@ std::vector<TileId> Torus::neighbours(TileId tile) const {
   return out;
 }
 
-std::uint32_t Torus::num_resources() const {
-  // Same arithmetic as the mesh: routers + 4 link slots + local-in/out.
+std::uint32_t Grid::num_resources() const {
   return num_tiles() * 7;
 }
 
-ResourceId Torus::link_resource(TileId src, TileId dst) const {
+ResourceId Grid::link_resource(TileId src, TileId dst) const {
   const Coord cs = coord(src);
   const Coord cd = coord(dst);
   const std::int32_t w = static_cast<std::int32_t>(width());
@@ -78,26 +78,26 @@ ResourceId Torus::link_resource(TileId src, TileId dst) const {
              (cd.y == cs.y - 1 || (wraps_y() && cs.y == 0 && cd.y == h - 1))) {
     dir = kNorth;
   } else {
-    throw std::invalid_argument("Torus: tiles are not adjacent");
+    throw std::invalid_argument("Grid: tiles are not adjacent");
   }
   return num_tiles() + src * 4 + dir;
 }
 
-ResourceId Torus::local_in_resource(TileId tile) const {
+ResourceId Grid::local_in_resource(TileId tile) const {
   if (tile >= num_tiles()) {
-    throw std::invalid_argument("Torus: tile out of range");
+    throw std::invalid_argument("Grid: tile out of range");
   }
   return num_tiles() * 5 + tile;
 }
 
-ResourceId Torus::local_out_resource(TileId tile) const {
+ResourceId Grid::local_out_resource(TileId tile) const {
   if (tile >= num_tiles()) {
-    throw std::invalid_argument("Torus: tile out of range");
+    throw std::invalid_argument("Grid: tile out of range");
   }
   return num_tiles() * 6 + tile;
 }
 
-ResourceInfo Torus::describe(ResourceId id) const {
+ResourceInfo Grid::describe(ResourceId id) const {
   const std::uint32_t n = num_tiles();
   if (id < n) {
     return ResourceInfo{ResourceKind::kRouter, id, std::nullopt};
@@ -118,7 +118,7 @@ ResourceInfo Torus::describe(ResourceId id) const {
     if (!contains(cd)) {
       if (!(x_axis ? wraps_x() : wraps_y())) {
         throw std::invalid_argument(
-            "Torus: link slot points outside a non-wrapping dimension");
+            "Grid: link slot points outside a non-wrapping dimension");
       }
       const std::int32_t w = static_cast<std::int32_t>(width());
       const std::int32_t h = static_cast<std::int32_t>(height());
@@ -133,11 +133,11 @@ ResourceInfo Torus::describe(ResourceId id) const {
   if (id < n * 7) {
     return ResourceInfo{ResourceKind::kLocalOut, id - n * 6, std::nullopt};
   }
-  throw std::invalid_argument("Torus: resource id out of range");
+  throw std::invalid_argument("Grid: resource id out of range");
 }
 
-int Torus::plan_axis(std::int32_t from, std::int32_t to, std::uint32_t size,
-                     bool wraps) {
+int Grid::plan_axis(std::int32_t from, std::int32_t to, std::uint32_t size,
+                    bool wraps) {
   if (from == to) return 0;
   const int direct_dir = to > from ? 1 : -1;
   if (!wraps) return direct_dir;
@@ -147,14 +147,13 @@ int Torus::plan_axis(std::int32_t from, std::int32_t to, std::uint32_t size,
   const std::uint32_t bwd = size - fwd;
   if (fwd < bwd) return 1;
   if (bwd < fwd) return -1;
-  // Tie (even ring): take the non-wrapping (mesh) direction, for
-  // determinism and so a torus degenerates to the mesh whenever wrapping
-  // never pays.
+  // Tie (even ring): take the non-wrapping direction, for determinism and so
+  // wrapping is taken only when it pays.
   return direct_dir;
 }
 
-std::int32_t Torus::step_axis(std::int32_t pos, int dir, std::uint32_t size,
-                              bool wraps) {
+std::int32_t Grid::step_axis(std::int32_t pos, int dir, std::uint32_t size,
+                             bool wraps) {
   pos += dir;
   if (wraps) {
     pos = (pos + static_cast<std::int32_t>(size)) %
@@ -163,7 +162,7 @@ std::int32_t Torus::step_axis(std::int32_t pos, int dir, std::uint32_t size,
   return pos;
 }
 
-Route Torus::route(TileId src, TileId dst, RoutingAlgorithm algo) const {
+Route Grid::route(TileId src, TileId dst, RoutingAlgorithm algo) const {
   if (src >= num_tiles() || dst >= num_tiles()) {
     throw std::invalid_argument("compute_route: tile out of range");
   }
@@ -179,11 +178,11 @@ Route Torus::route(TileId src, TileId dst, RoutingAlgorithm algo) const {
       });
 }
 
-std::vector<std::vector<TileId>> Torus::compute_symmetry_maps() const {
+std::vector<std::vector<TileId>> Grid::compute_symmetry_maps() const {
   // Dihedral candidates composed with every ring rotation of each wrapping
-  // dimension; keep_automorphisms() then discards anything that is not a
-  // genuine symmetry (e.g. rotations of a non-wrapping dimension were never
-  // generated, and reflections always survive).
+  // axis; keep_automorphisms() then discards anything that is not a genuine
+  // symmetry (rotations of a non-wrapping axis are never generated, and
+  // reflections always survive).
   const std::int32_t w = static_cast<std::int32_t>(width());
   const std::int32_t h = static_cast<std::int32_t>(height());
   const std::int32_t max_tx = wraps_x() ? w : 1;

@@ -1,69 +1,34 @@
 #pragma once
 /// \file mesh.hpp
 /// Regular 2-D mesh NoC topology — the paper's own Communication Resource
-/// Graph instance (Definition 3 in Marcon et al., DATE 2005), now one
-/// concrete noc::Topology.
+/// Graph instance (Definition 3 in Marcon et al., DATE 2005): the grid of
+/// grid.hpp with no wrapping axis.
 ///
-/// Vertices are tiles (one router per tile, one IP core slot per tile);
-/// edges are the physical resources a packet traverses. We distinguish three
-/// kinds of resources, mirroring the paper's energy decomposition
-/// (ERbit / ELbit / ECbit):
-///   * routers               (one per tile),
-///   * inter-router links    (directed, between 4-neighbour tiles),
-///   * local links           (core->router injection, router->core ejection).
-///
-/// Every resource has a dense ResourceId so the CDCM scheduler can keep its
-/// per-resource occupancy lists ("cost variable lists" in the paper) in flat
-/// arrays. The mesh keeps the exact id layout and route hop order it had
-/// before the Topology abstraction existed, so all mesh results are
-/// bit-identical to the pre-refactor era.
+/// The mesh keeps the exact id layout and route hop order it had before the
+/// Topology abstraction existed, so all mesh results are bit-identical to
+/// the pre-refactor era.
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
-#include "nocmap/noc/topology.hpp"
+#include "nocmap/noc/grid.hpp"
 
 namespace nocmap::noc {
 
 /// A W x H mesh. Immutable after construction.
-///
-/// Resource id layout: [routers | links | local-in | local-out]. Links are
-/// indexed by (src tile, direction), with 4 direction slots per tile; slots
-/// that would leave the mesh are still allocated (keeps the arithmetic
-/// trivial) but never referenced by any route.
-class Mesh : public Topology {
+class Mesh : public Grid {
  public:
   /// Throws std::invalid_argument unless width >= 1, height >= 1 and
   /// width * height >= 2 (a 1-tile NoC has no communication resources).
-  Mesh(std::uint32_t width, std::uint32_t height);
-
-  /// |x1-x2| + |y1-y2|; the minimal hop distance between the two routers.
-  /// Kept under its historical name; distance() is the generic spelling.
-  std::uint32_t manhattan(TileId a, TileId b) const;
-
-  // --- Topology contract ---------------------------------------------------
+  Mesh(std::uint32_t width, std::uint32_t height)
+      : Grid(width, height, /*wraps_x=*/false, /*wraps_y=*/false) {}
 
   const char* kind() const override { return "mesh"; }
   /// Bare "WxH" — the historical label, so mesh output never changed when
   /// the Topology abstraction was introduced.
-  std::string label() const override;
-
-  std::uint32_t distance(TileId a, TileId b) const override {
-    return manhattan(a, b);
+  std::string label() const override {
+    return std::to_string(width()) + "x" + std::to_string(height());
   }
-  /// The 2-4 neighbouring tiles of `tile` (N, S, E, W order, omitting
-  /// out-of-range ones).
-  std::vector<TileId> neighbours(TileId tile) const override;
-
-  /// routers + 4 link slots per tile + local-in + local-out = 7 * num_tiles.
-  std::uint32_t num_resources() const override;
-  ResourceId link_resource(TileId src, TileId dst) const override;
-  ResourceId local_in_resource(TileId tile) const override;
-  ResourceId local_out_resource(TileId tile) const override;
-  ResourceInfo describe(ResourceId id) const override;
-
-  Route route(TileId src, TileId dst, RoutingAlgorithm algo) const override;
 };
 
 }  // namespace nocmap::noc

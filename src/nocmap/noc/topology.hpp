@@ -14,6 +14,10 @@
 ///   * noc::ExpressMesh — mesh plus long-range express links
 ///                        (express_mesh.hpp).
 ///
+/// Mesh and Torus are one implementation, noc::Grid (grid.hpp), whose axes
+/// wrap or not as fixed at construction: a Mesh is the grid with no
+/// wrapping axis.
+///
 /// See docs/topologies.md for the full contract, the per-topology resource-id
 /// layouts and the routing/deadlock discussion.
 
@@ -202,8 +206,8 @@ class Topology {
 
   /// The symmetry group behind symmetry_maps(); called at most once per
   /// instance. The default keeps the automorphisms among the dihedral
-  /// candidates of the bounding grid; Torus overrides to add the wrap
-  /// translations.
+  /// candidates of the bounding grid; Grid overrides to add the rotations
+  /// of its wrapping axes.
   virtual std::vector<std::vector<TileId>> compute_symmetry_maps() const;
 
   /// Of `candidates` (tile permutations), the ones that are automorphisms of

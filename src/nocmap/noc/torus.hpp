@@ -1,84 +1,29 @@
 #pragma once
 /// \file torus.hpp
-/// 2-D torus NoC topology: the mesh plus wrap-around links.
+/// 2-D torus NoC topology: the grid of grid.hpp with every axis of size
+/// >= 3 closed into a ring by a pair of directed wrap links.
 ///
-/// Each grid dimension of size >= 3 is closed into a ring by a pair of
-/// directed wrap links (east from the last column to the first, west from
-/// the first to the last; analogously for rows). Dimensions of size 1 or 2
-/// deliberately stay mesh-like: a 1-wide ring has no second tile to wrap to,
-/// and a 2-wide ring's wrap link would merely duplicate the existing direct
-/// link — so a Torus whose dimensions are all <= 2 is resource-for-resource
-/// and route-for-route identical to the Mesh of the same size (tested).
-///
-/// Routing is dimension-ordered with wrap shortcuts: per axis the travel
-/// direction minimizing the hop count is chosen (ties break to the
-/// non-wrapping direction, i.e. exactly the mesh direction), so every
-/// algorithm is minimal w.r.t. the wrap distance
-/// min(|dx|, W - |dx|) + min(|dy|, H - |dy|).
-///
-/// Deadlock note: wrap links close cyclic channel dependences even under
-/// XY routing; real tori break them with dateline virtual channels, which
-/// this evaluation model (energy/latency, no VC allocation) does not
-/// represent. See docs/topologies.md.
+/// Axes of size 1 or 2 deliberately stay mesh-like: a 1-wide ring has no
+/// second tile to wrap to, and a 2-wide ring's wrap link would merely
+/// duplicate the existing direct link — so a Torus whose dimensions are all
+/// <= 2 is resource-for-resource and route-for-route identical to the Mesh
+/// of the same size (tested).
 
 #include <cstdint>
-#include <string>
-#include <vector>
 
-#include "nocmap/noc/topology.hpp"
+#include "nocmap/noc/grid.hpp"
 
 namespace nocmap::noc {
 
 /// A W x H torus. Immutable after construction.
-///
-/// Resource id layout is the mesh's: [routers | 4 link slots per tile |
-/// local-in | local-out], 7 * num_tiles ids in total. A slot is allocated
-/// when the step stays on the grid *or* wraps a dimension of size >= 3.
-class Torus : public Topology {
+class Torus : public Grid {
  public:
   /// Throws std::invalid_argument unless width >= 1, height >= 1 and
   /// width * height >= 2.
-  Torus(std::uint32_t width, std::uint32_t height);
-
-  /// Whether the X (resp. Y) dimension is closed into a ring.
-  bool wraps_x() const { return width() >= 3; }
-  bool wraps_y() const { return height() >= 3; }
-
-  // --- Topology contract ---------------------------------------------------
+  Torus(std::uint32_t width, std::uint32_t height)
+      : Grid(width, height, width >= 3, height >= 3) {}
 
   const char* kind() const override { return "torus"; }
-
-  /// Wrap distance: min(|dx|, W-|dx|) + min(|dy|, H-|dy|) over the wrapping
-  /// dimensions (plain |d| over the mesh-like ones).
-  std::uint32_t distance(TileId a, TileId b) const override;
-  /// N, S, E, W order like the mesh, wrap neighbours included; a tile on a
-  /// wrapping ring always has all four.
-  std::vector<TileId> neighbours(TileId tile) const override;
-
-  std::uint32_t num_resources() const override;
-  ResourceId link_resource(TileId src, TileId dst) const override;
-  ResourceId local_in_resource(TileId tile) const override;
-  ResourceId local_out_resource(TileId tile) const override;
-  ResourceInfo describe(ResourceId id) const override;
-
-  Route route(TileId src, TileId dst, RoutingAlgorithm algo) const override;
-
- protected:
-  /// The mesh symmetries plus, per wrapping dimension, all rotations of the
-  /// ring (a torus is vertex-transitive along its rings, which collapses the
-  /// first-core orbit of exhaustive search dramatically).
-  std::vector<std::vector<TileId>> compute_symmetry_maps() const override;
-
- private:
-  /// Signed unit direction (+1, -1 or 0) of the minimal travel from `from`
-  /// to `to` along one axis of `size` positions. Ties (even rings) break to
-  /// the non-wrap direction, so a torus degenerates to the mesh whenever
-  /// wrapping never pays.
-  static int plan_axis(std::int32_t from, std::int32_t to, std::uint32_t size,
-                       bool wraps);
-  /// One wrap-aware step along an axis of `size` positions.
-  static std::int32_t step_axis(std::int32_t pos, int dir, std::uint32_t size,
-                                bool wraps);
 };
 
 }  // namespace nocmap::noc

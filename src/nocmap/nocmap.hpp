@@ -32,6 +32,7 @@
 #include "nocmap/mapping/cost.hpp"
 #include "nocmap/mapping/mapping.hpp"
 #include "nocmap/noc/express_mesh.hpp"
+#include "nocmap/noc/grid.hpp"
 #include "nocmap/noc/mesh.hpp"
 #include "nocmap/noc/route_table.hpp"
 #include "nocmap/noc/routing.hpp"

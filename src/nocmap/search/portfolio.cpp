@@ -15,17 +15,6 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/// Same stream derivation as Explorer's SA chains: member 0 reproduces the
-/// single-chain behaviour exactly, member i > 0 draws from a stream hashed
-/// out of (seed, i) so streams are decorrelated across members and across
-/// nearby seeds.
-util::Rng member_rng(std::uint64_t seed, std::uint32_t member) {
-  if (member == 0) return util::Rng(seed);
-  util::Rng outer(seed);
-  util::Rng inner(outer() + member);
-  return inner.split();
-}
-
 double elapsed_ms(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double, std::milli>(
              std::chrono::steady_clock::now() - start)
@@ -89,7 +78,7 @@ PortfolioResult portfolio(const CostFactory& make_cost,
 
   auto run_sa_member = [&](std::uint32_t i) {
     const auto start = std::chrono::steady_clock::now();
-    util::Rng rng = member_rng(options.seed, i);
+    util::Rng rng = chain_rng(options.seed, i);
     const std::unique_ptr<mapping::CostFunction> cost = make_cost();
     const bool use_lns = options.lns && (i % 2 == 1);
     std::unique_ptr<MoveGenerator> gen;

@@ -113,8 +113,8 @@ struct PortfolioOptions {
   double time_budget_ms = 0.0;
 
   /// Finish with a batched steepest-descent polish of the overall winner
-  /// (only when the cost advertises has_batched_deltas — the vectorized
-  /// CWM path). Deterministic.
+  /// (only when the cost advertises has_batched_deltas — the O(deg) CWM
+  /// pricing). Deterministic.
   bool polish = true;
 
   /// Cooperative cancellation, shared by every member: SA members poll at
@@ -146,11 +146,11 @@ struct PolishOutcome {
 };
 
 /// Batched steepest descent: price the full pairwise-swap neighbourhood of
-/// `m` in one CostFunction::swap_deltas call per pass (the SIMD-friendly
-/// CWM hot loop), commit the best strictly-improving swap (ties to the
-/// lowest candidate index), repeat until a pass finds no improvement or
-/// max_passes. `cost_j` is updated by the exact deltas; callers pin the
-/// final value with a fresh cost() if they need drift-free reporting.
+/// `m` in one CostFunction::swap_deltas call per pass, commit the best
+/// strictly-improving swap (ties to the lowest candidate index), repeat
+/// until a pass finds no improvement or max_passes. `cost_j` is updated by
+/// the exact deltas; callers pin the final value with a fresh cost() if they
+/// need drift-free reporting.
 PolishOutcome steepest_polish(const mapping::CostFunction& cost,
                               mapping::Mapping& m, double& cost_j,
                               const PolishOptions& options = {});

@@ -230,4 +230,11 @@ SearchResult anneal(const mapping::CostFunction& cost,
   return std::move(chain.take_result());
 }
 
+util::Rng chain_rng(std::uint64_t seed, std::uint32_t chain) {
+  if (chain == 0) return util::Rng(seed);
+  util::Rng outer(seed);
+  util::Rng inner(outer() + chain);
+  return inner.split();
+}
+
 }  // namespace nocmap::search

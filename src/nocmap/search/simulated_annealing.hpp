@@ -149,4 +149,13 @@ SearchResult anneal(const mapping::CostFunction& cost,
                     const mapping::Mapping* initial = nullptr,
                     MoveGenerator* moves = nullptr);
 
+/// RNG stream of chain `chain` under `seed`, shared by the Explorer's SA
+/// chains and the portfolio's members. Chain 0 is Rng(seed) itself so
+/// single-chain runs reproduce the historical sequences; other chains hash
+/// the seed through SplitMix64 *before* mixing in the chain index, so the
+/// streams are decorrelated both across chains and across nearby seeds
+/// (hashing seed + chain directly would make (s, c+1) and (s+1, c)
+/// collide — adjacent rows of a seed sweep would share whole chains).
+util::Rng chain_rng(std::uint64_t seed, std::uint32_t chain);
+
 }  // namespace nocmap::search

@@ -918,12 +918,7 @@ BoundWorkload resolve_workload(const RunArgs& args) {
   } else if (args.workload == "random") {
     util::Rng rng(args.explorer.seed);
     cdcg = workload::generate_random_cdcg(args.random, rng);
-    // Smallest near-square mesh that fits the cores.
-    const std::uint32_t cores = args.random.num_cores;
-    const std::uint32_t tiles = cores < 2 ? 2 : cores;
-    width = 1;
-    while (width * width < tiles) ++width;
-    height = (tiles + width - 1) / width;
+    std::tie(width, height) = workload::fit_board(args.random.num_cores);
   } else {
     std::vector<workload::SuiteEntry> suite = workload::table1_suite();
     const auto e = std::find_if(suite.begin(), suite.end(), [&](auto& s) {

@@ -46,11 +46,11 @@ TEST(MeshTest, OutOfRangeThrows) {
 
 TEST(MeshTest, ManhattanDistance) {
   const Mesh mesh(4, 4);
-  EXPECT_EQ(mesh.manhattan(0, 0), 0u);
-  EXPECT_EQ(mesh.manhattan(0, 3), 3u);
-  EXPECT_EQ(mesh.manhattan(0, 15), 6u);
-  EXPECT_EQ(mesh.manhattan(5, 10), 2u);
-  EXPECT_EQ(mesh.manhattan(5, 10), mesh.manhattan(10, 5));
+  EXPECT_EQ(mesh.distance(0, 0), 0u);
+  EXPECT_EQ(mesh.distance(0, 3), 3u);
+  EXPECT_EQ(mesh.distance(0, 15), 6u);
+  EXPECT_EQ(mesh.distance(5, 10), 2u);
+  EXPECT_EQ(mesh.distance(5, 10), mesh.distance(10, 5));
 }
 
 TEST(MeshTest, NeighboursOfCornerEdgeCenter) {

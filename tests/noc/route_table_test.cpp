@@ -71,7 +71,7 @@ TEST(RouteTableTest, HopsAreManhattanPlusOneForMinimalRouting) {
     const RouteTable table(mesh, algo);
     for (TileId src = 0; src < mesh.num_tiles(); ++src) {
       for (TileId dst = 0; dst < mesh.num_tiles(); ++dst) {
-        EXPECT_EQ(table.hops(src, dst), mesh.manhattan(src, dst) + 1);
+        EXPECT_EQ(table.hops(src, dst), mesh.distance(src, dst) + 1);
       }
     }
   }

@@ -73,7 +73,7 @@ TEST_P(RoutePropertyTest, RoutesAreMinimalContiguousAndDeterministic) {
     for (TileId dst = 0; dst < mesh.num_tiles(); ++dst) {
       const Route r = compute_route(mesh, src, dst, algo);
       // Minimal length: manhattan distance + 1 routers.
-      ASSERT_EQ(r.num_routers(), mesh.manhattan(src, dst) + 1);
+      ASSERT_EQ(r.num_routers(), mesh.distance(src, dst) + 1);
       ASSERT_EQ(r.links.size(), r.routers.size() - 1);
       ASSERT_EQ(r.routers.front(), src);
       ASSERT_EQ(r.routers.back(), dst);

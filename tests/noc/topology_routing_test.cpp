@@ -11,6 +11,7 @@
 
 #include <functional>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -33,6 +34,10 @@ struct TopoCase {
   std::string name;
   std::function<std::unique_ptr<Topology>()> make;
 };
+
+// gtest would otherwise print the case as raw bytes, heap pointers included,
+// and the test names listed from them would change from build to build.
+void PrintTo(const TopoCase& c, std::ostream* os) { *os << c.name; }
 
 std::vector<TopoCase> all_topologies() {
   return {

@@ -35,7 +35,7 @@ TEST(GreedyTest, PlacesHeavyPartnersAdjacent) {
   const mapping::Mapping m = greedy_mapping(cwg, mesh);
   using workload::kCoreB;
   using workload::kCoreF;
-  EXPECT_EQ(mesh.manhattan(m.tile_of(kCoreB), m.tile_of(kCoreF)), 1u);
+  EXPECT_EQ(mesh.distance(m.tile_of(kCoreB), m.tile_of(kCoreF)), 1u);
 }
 
 TEST(GreedyTest, AchievesMinimalCwmCostOnPaperExample) {

@@ -10,6 +10,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <ostream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -31,6 +32,11 @@ struct Backend {
   std::string name;
   SimOptions options;
 };
+
+// gtest would otherwise print the backend as raw bytes, heap pointers
+// included, and the test names listed from them would change from build to
+// build.
+void PrintTo(const Backend& b, std::ostream* os) { *os << b.name; }
 
 std::vector<Backend> backends() {
   std::vector<Backend> out;

@@ -102,7 +102,7 @@ TEST(TopologyEquivalenceTest, CostFunctionsAgreeOnDegenerateTopologies) {
   // A wrapping 2x3 torus must NOT silently equal the mesh: tile 0 and tile
   // 4 = (0,2) are 1 wrap hop apart instead of 2.
   ASSERT_EQ(noc::Torus(2, 3).distance(0, 4), 1u);
-  ASSERT_EQ(noc::Mesh(2, 3).manhattan(0, 4), 2u);
+  ASSERT_EQ(noc::Mesh(2, 3).distance(0, 4), 2u);
 }
 
 TEST(TopologyEquivalenceTest, ExplorerMatchesByteForByteOnDegenerateTorus) {
