@@ -1,6 +1,7 @@
 #include "nocmap/core/explorer.hpp"
 
 #include "nocmap/search/greedy.hpp"
+#include "nocmap/search/portfolio.hpp"
 #include "nocmap/util/parallel.hpp"
 
 #include <algorithm>
@@ -112,7 +113,8 @@ search::SearchResult Explorer::run_branch_and_bound(
 search::SearchResult Explorer::run_portfolio(const CostFactory& make_cost,
                                              const mapping::Mapping* initial,
                                              PortfolioSummary& summary) const {
-  search::PortfolioOptions po = options_.portfolio;
+  // The default roster and budgets; the fields below come from options_.
+  search::PortfolioOptions po;
   po.sa = options_.sa;
   po.bnb = options_.bnb;
   po.seed = options_.seed;

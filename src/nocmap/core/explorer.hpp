@@ -27,7 +27,6 @@
 #include "nocmap/noc/topology.hpp"
 #include "nocmap/search/branch_and_bound.hpp"
 #include "nocmap/search/exhaustive.hpp"
-#include "nocmap/search/portfolio.hpp"
 #include "nocmap/search/simulated_annealing.hpp"
 #include "nocmap/sim/schedule.hpp"
 
@@ -43,8 +42,10 @@ enum class SearchMethod {
   kBranchAndBound,
   /// Racing portfolio (search::portfolio): SA chains x cooling schedules x
   /// move sets plus a budgeted B&B member, all greedy-seeded. The
-  /// paper-scale engine for boards too large for exact search.
-  /// Deterministic for any thread count.
+  /// paper-scale engine for boards too large for exact search. Runs the
+  /// default search::PortfolioOptions roster; the sa, bnb, seed, threads
+  /// and time-budget fields come from ExplorerOptions. Deterministic for
+  /// any thread count.
   kPortfolio,
 };
 
@@ -69,9 +70,6 @@ struct ExplorerOptions {
   /// incumbent is the greedy construction, or the CWM winner when
   /// seed_cdcm_with_cwm provides one).
   search::BnbOptions bnb;
-  /// kPortfolio: roster and budgets. The sa/bnb/seed/threads fields and the
-  /// greedy initial incumbent are filled in per run from the options above.
-  search::PortfolioOptions portfolio;
   /// Wall-clock budget in ms for SA-based searches (plain SA chains and
   /// every portfolio SA member), 0 = none. The budget is honored at
   /// temperature-step boundaries only, and the cut checkpoint is recorded,

@@ -11,6 +11,7 @@
 #include "nocmap/mapping/cost.hpp"
 #include "nocmap/noc/mesh.hpp"
 #include "nocmap/search/greedy.hpp"
+#include "nocmap/util/strings.hpp"
 #include "nocmap/workload/random_cdcg.hpp"
 #include "nocmap/workload/suite.hpp"
 
@@ -42,16 +43,10 @@ graph::Cdcg workload_for(std::uint32_t width, std::uint32_t height,
   return workload::generate_random_cdcg(params, rng);
 }
 
-void append_precise(std::ostringstream& os, double v) {
-  std::ostringstream precise;
-  precise.precision(17);
-  precise << v;
-  os << precise.str();
-}
-
 }  // namespace
 
 std::string ScaleBenchReport::to_json() const {
+  using util::format_precise;
   std::ostringstream os;
   os << "{\n  \"bench\": \"scale_search\",\n  \"schema\": 2,\n"
      << "  \"objective\": \"cwm\",\n"
@@ -65,25 +60,22 @@ std::string ScaleBenchReport::to_json() const {
        << r.application << "\",\n     \"cores\": " << r.num_cores
        << ", \"packets\": " << r.num_packets << ", \"members\": " << r.members
        << ", \"winner\": \"" << r.winner << "\", \"time_cut\": "
-       << (r.time_cut ? "true" : "false") << ",\n     \"initial_j\": ";
-    append_precise(os, r.initial_j);
-    os << ", \"best_j\": ";
-    append_precise(os, r.best_j);
-    os << ",\n     \"evaluations\": " << r.evaluations
-       << ", \"polish_applied\": " << r.polish_applied << ", \"wall_ms\": ";
-    append_precise(os, r.wall_ms);
-    os << ",\n     \"ground_truth\": {\"texec_ns\": ";
-    append_precise(os, r.ground_truth_texec_ns);
-    os << ", \"total_j\": ";
-    append_precise(os, r.ground_truth_total_j);
-    os << "},\n     \"curve\": [\n";
+       << (r.time_cut ? "true" : "false")
+       << ",\n     \"initial_j\": " << format_precise(r.initial_j)
+       << ", \"best_j\": " << format_precise(r.best_j)
+       << ",\n     \"evaluations\": " << r.evaluations
+       << ", \"polish_applied\": " << r.polish_applied
+       << ", \"wall_ms\": " << format_precise(r.wall_ms)
+       << ",\n     \"ground_truth\": {\"texec_ns\": "
+       << format_precise(r.ground_truth_texec_ns)
+       << ", \"total_j\": " << format_precise(r.ground_truth_total_j)
+       << "},\n     \"curve\": [\n";
     for (std::size_t k = 0; k < r.curve.size(); ++k) {
       const search::AnytimeSample& s = r.curve[k];
-      os << "       {\"moves\": " << s.moves << ", \"best_j\": ";
-      append_precise(os, s.best_j);
-      os << ", \"wall_ms\": ";
-      append_precise(os, s.wall_ms);
-      os << "}" << (k + 1 < r.curve.size() ? "," : "") << "\n";
+      os << "       {\"moves\": " << s.moves
+         << ", \"best_j\": " << format_precise(s.best_j)
+         << ", \"wall_ms\": " << format_precise(s.wall_ms) << "}"
+         << (k + 1 < r.curve.size() ? "," : "") << "\n";
     }
     os << "     ]}" << (i + 1 < rows.size() ? "," : "") << "\n";
   }
@@ -94,33 +86,34 @@ std::string ScaleBenchReport::to_json() const {
 ScaleBenchReport run_scale_bench(const ScaleBenchOptions& options) {
   // Resolve the run list: explicit workloads win over the size-driven
   // Table-1 selection.
-  std::vector<ScaleBenchWorkload> runs = options.workloads;
+  std::vector<workload::WorkloadApp> runs = options.workloads;
   if (runs.empty()) {
     for (const auto& [width, height] : options.sizes) {
-      ScaleBenchWorkload w;
-      w.width = width;
-      w.height = height;
+      workload::WorkloadApp w;
+      w.noc_width = width;
+      w.noc_height = height;
       runs.push_back(std::move(w));
     }
   }
-  for (ScaleBenchWorkload& w : runs) {
-    if (w.width == 0 || w.height == 0 ||
-        static_cast<std::uint64_t>(w.width) * w.height < 2) {
+  for (workload::WorkloadApp& w : runs) {
+    const std::uint32_t width = w.noc_width;
+    const std::uint32_t height = w.noc_height;
+    if (width == 0 || height == 0 ||
+        static_cast<std::uint64_t>(width) * height < 2) {
       throw std::invalid_argument(
-          "run_scale_bench: size " + std::to_string(w.width) + "x" +
-          std::to_string(w.height) +
+          "run_scale_bench: size " + std::to_string(width) + "x" +
+          std::to_string(height) +
           " is invalid — both dimensions must be nonzero and the board needs "
           "at least two tiles");
     }
     if (w.name.empty()) {
-      w.cdcg = workload_for(w.width, w.height, options.seed, w.name);
-    } else if (w.cdcg.num_cores() >
-               static_cast<std::size_t>(w.width) * w.height) {
+      w.cdcg = workload_for(width, height, options.seed, w.name);
+    } else if (w.cdcg.num_cores() > static_cast<std::size_t>(width) * height) {
       throw std::invalid_argument(
           "run_scale_bench: workload '" + w.name + "' has " +
           std::to_string(w.cdcg.num_cores()) + " cores but the " +
-          std::to_string(w.width) + "x" + std::to_string(w.height) +
-          " board only has " + std::to_string(w.width * w.height) + " tiles");
+          std::to_string(width) + "x" + std::to_string(height) +
+          " board only has " + std::to_string(width * height) + " tiles");
     }
   }
 
@@ -132,11 +125,11 @@ ScaleBenchReport run_scale_bench(const ScaleBenchOptions& options) {
   const energy::Technology tech = energy::technology_0_07u();
   const noc::RoutingAlgorithm routing = noc::RoutingAlgorithm::kXY;
 
-  for (const ScaleBenchWorkload& run : runs) {
-    const noc::Mesh topo(run.width, run.height);
+  for (const workload::WorkloadApp& run : runs) {
+    const noc::Mesh topo(run.noc_width, run.noc_height);
     ScaleBenchRow row;
-    row.mesh_width = run.width;
-    row.mesh_height = run.height;
+    row.mesh_width = run.noc_width;
+    row.mesh_height = run.noc_height;
     row.application = run.name;
     const graph::Cdcg& cdcg = run.cdcg;
     row.num_cores = static_cast<std::uint32_t>(cdcg.num_cores());

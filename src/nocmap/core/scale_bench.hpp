@@ -23,19 +23,10 @@
 #include <utility>
 #include <vector>
 
-#include "nocmap/graph/cdcg.hpp"
 #include "nocmap/search/portfolio.hpp"
+#include "nocmap/workload/workload_source.hpp"
 
 namespace nocmap::core {
-
-/// An explicit benchmark workload (from a WorkloadSource); overrides the
-/// size-driven Table-1 selection when supplied.
-struct ScaleBenchWorkload {
-  std::string name;
-  std::uint32_t width = 0;
-  std::uint32_t height = 0;
-  graph::Cdcg cdcg;
-};
 
 struct ScaleBenchOptions {
   /// Board sizes (width, height). Default: the paper's three large NoCs.
@@ -43,9 +34,9 @@ struct ScaleBenchOptions {
   /// else gets a deterministic random CDCG sized to ~80% tile occupancy.
   std::vector<std::pair<std::uint32_t, std::uint32_t>> sizes = {
       {8, 8}, {10, 10}, {12, 10}};
-  /// When non-empty, bench these applications instead of `sizes` — the
-  /// `nocmap bench --scale --workload SRC` path.
-  std::vector<ScaleBenchWorkload> workloads;
+  /// When non-empty, bench these applications, each on its own board,
+  /// instead of `sizes` — the `nocmap bench --scale --workload SRC` path.
+  std::vector<workload::WorkloadApp> workloads;
   std::uint64_t seed = 1;
   std::uint32_t threads = 1;  ///< Workers racing the members (throughput only).
   std::uint32_t sa_members = 4;

@@ -804,7 +804,6 @@ CdcmCost::CdcmCost(const graph::Cdcg& cdcg, const noc::Topology& topo,
   tech_.validate();
   cdcg_.validate(/*require_connected=*/false);
   sim_options.routing = routing_;
-  sim_options.record_traces = true;  // Only honoured by the traced path.
   simulator_ =
       std::make_unique<sim::Simulator>(cdcg_, topo_, tech_, sim_options);
 }
@@ -841,11 +840,6 @@ std::vector<std::vector<noc::TileId>> CdcmCost::symmetry_group(
   return group;
 }
 
-double CdcmCost::run_cost(const Mapping& m) const {
-  // Scalar arena run: no traces, no allocations in the steady state.
-  return simulator_->run(m).energy.total_j();
-}
-
 double CdcmCost::cost(const Mapping& m) const {
   return cost_within(m, std::numeric_limits<double>::infinity());
 }
@@ -855,7 +849,7 @@ double CdcmCost::cost_within(const Mapping& m, double reject_above) const {
   // deterministic and the cached cost came from a real run of this exact
   // mapping.
   if (cur_map_ && m == *cur_map_) return cur_cost_;
-  if (probe_valid_ && probe_map_ && m == *probe_map_) return probe_cost_;
+  if (probe_valid_ && m == *probe_map_) return probe_cost_;
   const sim::SimulationResult& r = simulator_->run(m, reject_above);
   // A stopped run's energy is not the cost, only a value above the bound.
   if (r.stopped) return r.energy.total_j();
@@ -865,54 +859,27 @@ double CdcmCost::cost_within(const Mapping& m, double reject_above) const {
   return cur_cost_;
 }
 
-double CdcmCost::base_cost(const Mapping& m) const {
-  if (cur_map_ && m == *cur_map_) return cur_cost_;
-  const double c = run_cost(m);
-  cur_map_ = m;
-  cur_cost_ = c;
-  return c;
-}
-
 double CdcmCost::swap_delta(const Mapping& m, noc::TileId a,
                             noc::TileId b) const {
-  const double base = base_cost(m);
-  probe_valid_ = false;  // probe_map_ changes before its run completes.
-  if (!probe_map_) {
-    probe_map_ = m;
-  } else {
-    *probe_map_ = m;
-  }
-  probe_map_->swap_tiles(a, b);
-  // Full resimulation of the swapped mapping — the simulator rebinds only
-  // the packets incident to the swapped cores, then replays the whole
-  // schedule, so this is bitwise cost(m') - cost(m).
-  probe_cost_ = run_cost(*probe_map_);
-  probe_a_ = a;
-  probe_b_ = b;
-  probe_valid_ = true;
-  return probe_cost_ - base;
+  const std::pair<noc::TileId, noc::TileId> swap{a, b};
+  return probe(m, &swap, 1);
 }
 
 void CdcmCost::apply_swap(Mapping& m, noc::TileId a, noc::TileId b) const {
-  m.swap_tiles(a, b);
-  if (probe_valid_ && probe_map_ &&
-      ((probe_a_ == a && probe_b_ == b) || (probe_a_ == b && probe_b_ == a)) &&
-      m == *probe_map_) {
-    // The committed mapping is exactly the one just probed: promote the
-    // probe cache so the next swap_delta()/resync cost() is free.
-    cur_map_.swap(probe_map_);
-    cur_cost_ = probe_cost_;
-  } else {
-    cur_map_.reset();
-  }
-  probe_valid_ = false;
+  const std::pair<noc::TileId, noc::TileId> swap{a, b};
+  apply_move(m, &swap, 1);
 }
 
 double CdcmCost::move_delta(Mapping& m,
                             const std::pair<noc::TileId, noc::TileId>* swaps,
                             std::size_t count) const {
-  if (count == 1) return swap_delta(m, swaps[0].first, swaps[0].second);
-  const double base = base_cost(m);
+  return probe(m, swaps, count);
+}
+
+double CdcmCost::probe(const Mapping& m,
+                       const std::pair<noc::TileId, noc::TileId>* swaps,
+                       std::size_t count) const {
+  const double base = cost(m);
   probe_valid_ = false;  // probe_map_ changes before its run completes.
   if (!probe_map_) {
     probe_map_ = m;
@@ -922,12 +889,11 @@ double CdcmCost::move_delta(Mapping& m,
   for (std::size_t i = 0; i < count; ++i) {
     probe_map_->swap_tiles(swaps[i].first, swaps[i].second);
   }
-  // One resimulation of the sequence's end state: bitwise
-  // cost(m') - cost(m), independent of the sequence length.
-  probe_cost_ = run_cost(*probe_map_);
-  // Invalidate the (a, b) fast guard; apply_move promotes the probe by
-  // mapping equality alone.
-  probe_a_ = probe_b_ = 0;
+  // One full scalar resimulation of the move's end state: the simulator
+  // rebinds only the packets incident to the moved cores, then replays the
+  // whole schedule, so this is bitwise cost(m') - cost(m) for a move of any
+  // length.
+  probe_cost_ = simulator_->run(*probe_map_).energy.total_j();
   probe_valid_ = true;
   return probe_cost_ - base;
 }
@@ -935,16 +901,13 @@ double CdcmCost::move_delta(Mapping& m,
 void CdcmCost::apply_move(Mapping& m,
                           const std::pair<noc::TileId, noc::TileId>* swaps,
                           std::size_t count) const {
-  if (count == 1) {
-    apply_swap(m, swaps[0].first, swaps[0].second);
-    return;
-  }
   for (std::size_t i = 0; i < count; ++i) {
     m.swap_tiles(swaps[i].first, swaps[i].second);
   }
-  if (probe_valid_ && probe_map_ && m == *probe_map_) {
+  if (probe_valid_ && m == *probe_map_) {
     // The committed mapping is the one just probed (the simulator is
-    // deterministic, so the cached cost is its exact cost): promote it.
+    // deterministic, so the cached cost is its exact cost): promote it, so
+    // the next probe's base and the per-step resync cost() are free.
     cur_map_.swap(probe_map_);
     cur_cost_ = probe_cost_;
   } else {
@@ -975,16 +938,18 @@ HybridCost::HybridCost(const graph::Cdcg& cdcg, const noc::Topology& topo,
       cdcm_(cdcg, topo, tech, routing, sim_options),
       cadence_(cdcm_cadence) {}
 
+bool HybridCost::exact_turn() const {
+  ++probes_;
+  return cadence_ != 0 && probes_ % cadence_ == 0;
+}
+
 double HybridCost::swap_delta(const Mapping& m, noc::TileId a,
                               noc::TileId b) const {
-  ++probes_;
-  if (cadence_ != 0 && probes_ % cadence_ == 0) {
-    return cdcm_.swap_delta(m, a, b);
-  }
-  // The prefilter: the timing-blind CWM repricing of the two tiles, O(deg)
-  // hop-table lookups. The running cost it feeds drifts from the true CDCM
-  // objective until the next CDCM verification or per-step resync.
-  return cwm_.swap_delta(m, a, b);
+  // Off the exact turns, the prefilter: the timing-blind CWM repricing of
+  // the two tiles, O(deg) hop-table lookups. The running cost it feeds
+  // drifts from the true CDCM objective until the next exact turn or
+  // per-step resync.
+  return exact_turn() ? cdcm_.swap_delta(m, a, b) : cwm_.swap_delta(m, a, b);
 }
 
 void HybridCost::apply_swap(Mapping& m, noc::TileId a, noc::TileId b) const {
@@ -995,11 +960,8 @@ void HybridCost::apply_swap(Mapping& m, noc::TileId a, noc::TileId b) const {
 double HybridCost::move_delta(Mapping& m,
                               const std::pair<noc::TileId, noc::TileId>* swaps,
                               std::size_t count) const {
-  ++probes_;
-  if (cadence_ != 0 && probes_ % cadence_ == 0) {
-    return cdcm_.move_delta(m, swaps, count);
-  }
-  return cwm_.move_delta(m, swaps, count);
+  return exact_turn() ? cdcm_.move_delta(m, swaps, count)
+                      : cwm_.move_delta(m, swaps, count);
 }
 
 void HybridCost::apply_move(Mapping& m,

@@ -264,8 +264,6 @@ class CwmCost final : public CostFunction {
   std::unique_ptr<LowerBound> make_lower_bound() const override;
   bool symmetry_invariant() const override { return true; }
 
-  const noc::RouteTable& route_table() const { return table_; }
-
  private:
   /// Gather the edges incident to the candidate swap (a, b) into the flat
   /// scratch arrays (weight, old hop count, new hop count), in the order
@@ -304,25 +302,27 @@ class CwmCost final : public CostFunction {
 /// Owns one sim::Simulator arena, so repeated cost() calls reuse the route
 /// table, packet state and event storage (no steady-state allocations).
 ///
-/// Implements the swap-delta protocol with exact full-resimulation
-/// semantics: swap_delta(m, a, b) re-runs the whole wormhole schedule for
-/// the swapped mapping (only the route *bindings* are updated
-/// incrementally, which is exact — routes and per-packet energies are pure
-/// functions of the endpoint tiles), so the returned delta is bitwise
-/// cost(m') - cost(m). The speedup comes from the simulator's swap-aware
-/// rebinding plus the cost caches below: the cost of the current mapping
-/// and of the last probed swap are remembered, so one SA move costs one
-/// simulator run instead of two, and the per-step resynchronization
-/// evaluation is a cache hit. A cache entry is filled only after its run
-/// completed, so a run that throws or stops early leaves none.
+/// Implements the swap-delta and composite-move protocols with one probe of
+/// exact full-resimulation semantics: a swap is the one-swap move, and
+/// pricing a move re-runs the whole wormhole schedule for the moved mapping
+/// (only the route *bindings* are updated incrementally, which is exact —
+/// routes and per-packet energies are pure functions of the endpoint
+/// tiles), so the returned delta is bitwise cost(m') - cost(m). The speedup
+/// comes from the simulator's swap-aware rebinding plus the cost caches
+/// below: the cost of the current mapping and of the last probed move are
+/// remembered, and committing a move whose result equals the probed mapping
+/// promotes the probe, so one SA move costs one simulator run instead of
+/// two, and the per-step resynchronization evaluation is a cache hit. A
+/// cache entry is filled only after its run completed, so a run that throws
+/// or stops early leaves none.
 ///
 /// Not thread-safe: give each search worker its own CdcmCost.
 class CdcmCost final : public CostFunction {
  public:
   /// `sim_options` selects the evaluation backend and its flow-control
   /// parameters (docs/simulation.md); its routing field is overridden by
-  /// `routing` and record_traces is forced on (only the traced path reads
-  /// it). The default is the link-claim backend — the historical behavior.
+  /// `routing`. The default is the link-claim backend — the historical
+  /// behavior.
   CdcmCost(const graph::Cdcg& cdcg, const noc::Topology& topo,
            const energy::Technology& tech,
            noc::RoutingAlgorithm routing = noc::RoutingAlgorithm::kXY,
@@ -342,6 +342,7 @@ class CdcmCost final : public CostFunction {
   /// One probe resimulation of the end state of the sequence — bitwise
   /// cost(m') - cost(m) for a composite of any length, at the price of a
   /// single arena run (the default would run the arena twice per element).
+  /// `m` is not modified.
   double move_delta(Mapping& m,
                     const std::pair<noc::TileId, noc::TileId>* swaps,
                     std::size_t count) const override;
@@ -375,9 +376,11 @@ class CdcmCost final : public CostFunction {
   bool checkpointing_active() const;
 
  private:
-  double run_cost(const Mapping& m) const;
-  /// cost(m) through the current-mapping cache (the base of a delta).
-  double base_cost(const Mapping& m) const;
+  /// The one pricing path of swap_delta() and move_delta(): the cost of `m`
+  /// after `swaps[0..count)` minus cost(m), remembered as the probe.
+  double probe(const Mapping& m,
+               const std::pair<noc::TileId, noc::TileId>* swaps,
+               std::size_t count) const;
 
   const graph::Cdcg& cdcg_;
   const noc::Topology& topo_;
@@ -392,9 +395,8 @@ class CdcmCost final : public CostFunction {
   // --- returning them is exact, not approximate) ---------------------------
   mutable std::optional<Mapping> cur_map_;    ///< Last full-cost mapping.
   mutable double cur_cost_ = 0.0;
-  mutable std::optional<Mapping> probe_map_;  ///< Last probed swap result.
+  mutable std::optional<Mapping> probe_map_;  ///< Last probed move result.
   mutable double probe_cost_ = 0.0;
-  mutable noc::TileId probe_a_ = 0, probe_b_ = 0;
   mutable bool probe_valid_ = false;
 };
 
@@ -449,16 +451,11 @@ class HybridCost final : public CostFunction {
     return cdcm_.symmetry_group(topo);
   }
 
-  std::uint32_t cdcm_cadence() const { return cadence_; }
-  const CdcmCost& cdcm() const { return cdcm_; }
-  const CwmCost& cwm() const { return cwm_; }
-
-  /// Full simulation (with traces) of a mapping, as CdcmCost::evaluate.
-  sim::SimulationResult evaluate(const Mapping& m) const {
-    return cdcm_.evaluate(m);
-  }
-
  private:
+  /// Advance the cadence by one priced move; true on the moves the exact
+  /// CDCM delta prices.
+  bool exact_turn() const;
+
   graph::Cwg cwg_;  ///< Owns the CWM projection the prefilter prices.
   CwmCost cwm_;
   CdcmCost cdcm_;

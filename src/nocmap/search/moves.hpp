@@ -130,8 +130,6 @@ class LargeNeighborhoodMoves final : public MoveGenerator {
   void on_accept(const mapping::Mapping& m, const Move& move) override;
   std::string name() const override { return "lns"; }
 
-  const LnsOptions& options() const { return options_; }
-
  private:
   void propose_swap(util::Rng& rng, Move& out) const;
   void propose_reversal(util::Rng& rng, Move& out) const;

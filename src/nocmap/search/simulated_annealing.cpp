@@ -55,6 +55,7 @@ SaChain::SaChain(const mapping::CostFunction& cost, const noc::Topology& topo,
                       topo.num_tiles()),
       current_(sa_initial_state(cost, topo, rng, options, initial)),
       current_cost_(cost.cost(current_)),
+      walk_best_(current_cost_),
       result_{current_, current_cost_, current_cost_, 1, false},
       start_(std::chrono::steady_clock::now()) {
   // Incremental move pricing when the objective supports it: a move costs
@@ -177,8 +178,8 @@ bool SaChain::step() {
                              move_.swaps.end());
       accepted_ends_.push_back(accepted_swaps_.size());
       if (moves_) moves_->on_accept(current_, move_);
-      if (current_cost_ < result_.best_cost) {
-        result_.best_cost = current_cost_;
+      if (current_cost_ < walk_best_) {
+        walk_best_ = current_cost_;
         best_at = accepted_ends_.size();
         improved = true;
       }
@@ -196,12 +197,19 @@ bool SaChain::step() {
       snapshot.swap_tiles(accepted_swaps_[i - 1].first,
                           accepted_swaps_[i - 1].second);
     }
-    result_.best = std::move(snapshot);
     if (use_delta_) {
-      // The running cost accumulated deltas; pin the reported best to a
-      // fresh full evaluation.
-      result_.best_cost = cost_.cost(result_.best);
+      // The running cost accumulated deltas; pin the step's best to a fresh
+      // full evaluation.
+      walk_best_ = cost_.cost(snapshot);
       ++result_.evaluations;
+    }
+    // Deltas that under-report a move's cost (HybridCost's CWM prefilter)
+    // can make a worse mapping look like an improvement, so the reported
+    // best never takes a mapping whose exact cost is above it. A tie, which
+    // rounding drift in the running cost produces, takes the step's best.
+    if (walk_best_ <= result_.best_cost) {
+      result_.best = std::move(snapshot);
+      result_.best_cost = walk_best_;
     }
   }
   if (use_delta_) {

@@ -76,7 +76,8 @@ struct SaOptions {
 /// evaluation and temperature calibration; each step() call runs one
 /// temperature step (moves_per_tile * num_tiles priced moves). result() is
 /// consistent at every step boundary: the best mapping is materialized and
-/// its cost pinned by a fresh evaluation.
+/// its cost pinned by a fresh evaluation, and it is never worse than the
+/// initial mapping under cost(), whatever the deltas reported.
 ///
 /// The referenced cost function, topology, RNG and move generator must
 /// outlive the chain; the chain owns nothing but its mapping state.
@@ -121,6 +122,11 @@ class SaChain {
   mapping::Mapping current_;
   double current_cost_ = 0.0;
   double candidate_cost_ = 0.0;  ///< Full-recompute path scratch.
+  /// The walk's best cost: a step improves when the running cost drops
+  /// below it, and it is pinned to the exact cost of the step's best. The
+  /// stale count follows it; result_ keeps the best exact cost, which only
+  /// differs when a delta under-reported.
+  double walk_best_ = 0.0;
   SearchResult result_;
   double temperature_ = 1.0;
   std::uint32_t stale_steps_ = 0;

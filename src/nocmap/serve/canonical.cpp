@@ -4,6 +4,8 @@
 #include <limits>
 #include <string>
 
+#include "nocmap/util/rng.hpp"
+
 namespace nocmap::serve {
 
 namespace {
@@ -11,18 +13,7 @@ namespace {
 constexpr graph::CoreId kUnassigned =
     std::numeric_limits<graph::CoreId>::max();
 
-/// SplitMix64 finalizer — the library's standard bit mixer (util::Rng uses
-/// the same constants). Good avalanche, so sequential mixing of fields
-/// behaves like a real hash.
-std::uint64_t mix(std::uint64_t z) {
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-  return z ^ (z >> 31);
-}
-
-std::uint64_t fold(std::uint64_t h, std::uint64_t v) {
-  return mix(h ^ (v + 0x9E3779B97F4A7C15ULL + (h << 6) + (h >> 2)));
-}
+using util::fold;
 
 }  // namespace
 

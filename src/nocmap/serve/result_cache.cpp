@@ -4,19 +4,13 @@
 #include <functional>
 #include <utility>
 
+#include "nocmap/util/rng.hpp"
+
 namespace nocmap::serve {
 
 namespace {
 
-std::uint64_t mix(std::uint64_t z) {
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-  return z ^ (z >> 31);
-}
-
-std::uint64_t fold(std::uint64_t h, std::uint64_t v) {
-  return mix(h ^ (v + 0x9E3779B97F4A7C15ULL + (h << 6) + (h >> 2)));
-}
+using util::fold;
 
 std::uint64_t context_hash(const std::string& context) {
   std::uint64_t h = fold(0xc047e47ULL, context.size());

@@ -9,21 +9,14 @@
 
 #include "nocmap/noc/mesh.hpp"
 #include "nocmap/util/rng.hpp"
+#include "nocmap/util/strings.hpp"
 #include "nocmap/workload/synthetic.hpp"
 
 namespace nocmap::serve {
 
 namespace {
 
-std::uint64_t mix(std::uint64_t z) {
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-  return z ^ (z >> 31);
-}
-
-std::uint64_t fold(std::uint64_t h, std::uint64_t v) {
-  return mix(h ^ (v + 0x9E3779B97F4A7C15ULL + (h << 6) + (h >> 2)));
-}
+using util::fold;
 
 std::uint64_t double_bits(double v) {
   std::uint64_t bits = 0;
@@ -84,13 +77,6 @@ double percentile(const std::vector<double>& sorted, double q) {
   const std::size_t rank = static_cast<std::size_t>(
       std::ceil(q * static_cast<double>(sorted.size())));
   return sorted[std::min(sorted.size() - 1, rank == 0 ? 0 : rank - 1)];
-}
-
-void append_precise(std::ostringstream& os, double v) {
-  std::ostringstream precise;
-  precise.precision(17);
-  precise << v;
-  os << precise.str();
 }
 
 }  // namespace
@@ -238,17 +224,16 @@ ServeBenchReport run_serve_bench(const ServeBenchOptions& options) {
 }
 
 std::string ServeBenchReport::to_json() const {
+  using util::format_precise;
   std::ostringstream os;
   os << "{\n";
   os << "  \"bench\": \"serve\",\n";
   os << "  \"schema\": 1,\n";
   os << "  \"population\": \"" << population << "\",\n";
   os << "  \"requests\": " << requests << ",\n";
-  os << "  \"dup_ratio\": ";
-  append_precise(os, dup_ratio);
-  os << ",\n  \"near_ratio\": ";
-  append_precise(os, near_ratio);
-  os << ",\n  \"mesh_width\": " << mesh_width << ",\n";
+  os << "  \"dup_ratio\": " << format_precise(dup_ratio) << ",\n";
+  os << "  \"near_ratio\": " << format_precise(near_ratio) << ",\n";
+  os << "  \"mesh_width\": " << mesh_width << ",\n";
   os << "  \"mesh_height\": " << mesh_height << ",\n";
   os << "  \"batch\": " << batch << ",\n";
   os << "  \"threads\": " << threads << ",\n";
@@ -260,30 +245,18 @@ std::string ServeBenchReport::to_json() const {
   os << "  \"exact_hits\": " << exact_hits << ",\n";
   os << "  \"batch_hits\": " << batch_hits << ",\n";
   os << "  \"warm_starts\": " << warm_starts << ",\n";
-  os << "  \"cache_hit_rate\": ";
-  append_precise(os, cache_hit_rate);
-  os << ",\n  \"warm_start_rate\": ";
-  append_precise(os, warm_start_rate);
-  os << ",\n  \"results_digest\": " << results_digest << ",\n";
-  os << "  \"p50_ms\": ";
-  append_precise(os, p50_ms);
-  os << ",\n  \"p95_ms\": ";
-  append_precise(os, p95_ms);
-  os << ",\n  \"p99_ms\": ";
-  append_precise(os, p99_ms);
-  os << ",\n  \"mean_ms\": ";
-  append_precise(os, mean_ms);
-  os << ",\n  \"total_wall_ms\": ";
-  append_precise(os, total_wall_ms);
-  os << ",\n  \"throughput_rps\": ";
-  append_precise(os, throughput_rps);
-  os << ",\n  \"cold_solve_ms\": ";
-  append_precise(os, cold_solve_ms);
-  os << ",\n  \"warm_solve_ms\": ";
-  append_precise(os, warm_solve_ms);
-  os << ",\n  \"warm_speedup\": ";
-  append_precise(os, warm_speedup);
-  os << "\n}\n";
+  os << "  \"cache_hit_rate\": " << format_precise(cache_hit_rate) << ",\n";
+  os << "  \"warm_start_rate\": " << format_precise(warm_start_rate) << ",\n";
+  os << "  \"results_digest\": " << results_digest << ",\n";
+  os << "  \"p50_ms\": " << format_precise(p50_ms) << ",\n";
+  os << "  \"p95_ms\": " << format_precise(p95_ms) << ",\n";
+  os << "  \"p99_ms\": " << format_precise(p99_ms) << ",\n";
+  os << "  \"mean_ms\": " << format_precise(mean_ms) << ",\n";
+  os << "  \"total_wall_ms\": " << format_precise(total_wall_ms) << ",\n";
+  os << "  \"throughput_rps\": " << format_precise(throughput_rps) << ",\n";
+  os << "  \"cold_solve_ms\": " << format_precise(cold_solve_ms) << ",\n";
+  os << "  \"warm_solve_ms\": " << format_precise(warm_solve_ms) << ",\n";
+  os << "  \"warm_speedup\": " << format_precise(warm_speedup) << "\n}\n";
   return os.str();
 }
 

@@ -10,7 +10,9 @@
 ///    input edges are free"); roots are ready at time 0 (pointed by Start).
 ///  * After the source core's computation time (t_aq * lambda) the packet is
 ///    injected: its header enters the core->router local link, then hops
-///    router by router along the deterministic route.
+///    router by router along the deterministic route. Local links overlap
+///    freely, as in the paper's model, so worms from one core first contend
+///    on the first inter-router link they share.
 ///  * At each router the header claims the *outgoing inter-router link*. If
 ///    that link is still occupied by another worm, the packet waits in the
 ///    router's input buffer (unbounded under the default link-claim
@@ -33,7 +35,8 @@
 /// The result carries execution time (texec = delivery of the last packet),
 /// the dynamic energy (Equation 4), static energy (Equation 9) and the full
 /// per-packet / per-resource traces used by the timeline renderer and the
-/// figure-reproduction benches.
+/// figure-reproduction benches. simulate() always records the traces; the
+/// scalar Simulator::run() of the search loops never does.
 
 #include <cstdint>
 #include <vector>
@@ -63,7 +66,7 @@ struct PacketTrace {
   double contention_ns = 0.0; ///< Total time spent blocked in input buffers.
   std::uint32_t num_routers = 0;  ///< K for this packet's route.
   std::vector<HopRecord> hops;    ///< local-in, (router, link)*, router,
-                                  ///< local-out — only when record_traces.
+                                  ///< local-out.
 };
 
 /// One entry of a resource's occupancy list ("cost variable list").
@@ -115,16 +118,6 @@ enum class Switching : std::uint8_t {
 
 struct SimOptions {
   noc::RoutingAlgorithm routing = noc::RoutingAlgorithm::kXY;
-  /// Record per-packet hop lists and per-resource occupancy lists. Disable
-  /// inside search loops; the scalar results are identical.
-  bool record_traces = true;
-  /// Model contention on core->router injection links (a single network
-  /// interface per core streams concurrent sends back-to-back). Off by
-  /// default: the paper's model lets local links overlap freely, and its
-  /// worked example never exercises injection contention. Same-source worms
-  /// still serialize on their first shared inter-router link either way.
-  /// Runs that set it always use the heap queue and never checkpoint.
-  bool contend_local_in = false;
   /// Evaluation backend (the event loop's flow-control policy).
   SimBackend backend = SimBackend::kLinkClaim;
   /// kFlit: input-buffer capacity of every router port, in flits (>= 1).
@@ -141,8 +134,7 @@ struct SimOptions {
   /// instant the mapping change can affect, replaying only the suffix.
   /// Results are bitwise-identical to a full resimulation
   /// (docs/simulation.md spells out the argument). Ignored — with a full
-  /// resimulation fallback — for the flit backend, traced runs, and
-  /// contend_local_in.
+  /// resimulation fallback — for the flit backend and traced runs.
   bool checkpoints = false;
   /// Snapshot cadence in event pops; 0 = auto (scaled from packet count).
   /// 1 checkpoints every pop (maximal restore resolution, maximal memory);
@@ -162,8 +154,8 @@ struct SimulationResult {
   /// still above reject_above. Never set on a complete schedule.
   bool stopped = false;
   std::vector<PacketTrace> packets;      ///< Indexed by PacketId.
-  /// Occupancy lists indexed by ResourceId (empty when !record_traces); each
-  /// list is sorted by start time.
+  /// Occupancy lists indexed by ResourceId (empty after a scalar
+  /// Simulator::run()); each list is sorted by start time.
   std::vector<std::vector<Occupancy>> occupancy;
 
   // --- kFlit observability (all exactly 0.0 under kLinkClaim, and whenever

@@ -114,15 +114,13 @@ Simulator::Simulator(const graph::Cdcg& cdcg, const noc::Topology& topo,
   // exact non-negative integer number of nanoseconds (then all event times
   // are integer-valued doubles and double arithmetic is exact), ids must
   // fit the packed bucket-entry format, and the worst-case schedule horizon
-  // must be small enough that bucket count stays sane. contend_local_in
-  // makes injection order observable, which the calendar's fused ejection
-  // reorders.
+  // must be small enough that bucket count stays sane.
   const auto integral = [](double v) {
     return v >= 0.0 && v < 9.0e15 &&
            static_cast<double>(static_cast<std::uint64_t>(v)) == v;
   };
   bool eligible = options_.backend == SimBackend::kLinkClaim &&
-                  !options_.contend_local_in && num_packets > 0 &&
+                  num_packets > 0 &&
                   num_packets < detail::BucketQueue::kMaxPackets &&
                   integral(tr_) && integral(tl_) && max_links > 0 &&
                   max_links + 1 < detail::BucketQueue::kMaxHops;
@@ -144,14 +142,12 @@ Simulator::Simulator(const graph::Cdcg& cdcg, const noc::Topology& topo,
 
   // --- Checkpointed incremental evaluation ---------------------------------
   // Eligibility is exact, not assumed: the restore argument needs strictly
-  // sorted pops (tr > 0 and tl > 0 make every pushed key strictly future)
-  // and injection writes that nothing observes (contend_local_in off); the
-  // flit backend's port-state arenas are not snapshotted. Ineligible
+  // sorted pops (tr > 0 and tl > 0 make every pushed key strictly future);
+  // the flit backend's port-state arenas are not snapshotted. Ineligible
   // bindings silently run in full, so results never depend on this flag.
   ckpt_active_ = options_.checkpoints &&
-                 options_.backend == SimBackend::kLinkClaim &&
-                 !options_.contend_local_in && tr_ > 0.0 && tl_ > 0.0 &&
-                 num_packets > 0;
+                 options_.backend == SimBackend::kLinkClaim && tr_ > 0.0 &&
+                 tl_ > 0.0 && num_packets > 0;
   if (ckpt_active_) {
     // Auto cadence: about 16 snapshots over the ~6 pops a packet's route
     // contributes on the shipped meshes, floored so tiny graphs do not
@@ -281,9 +277,8 @@ struct Simulator::HeapQueue {
 /// The integer-time bucket calendar (see bucket_mode_). It fuses the final
 /// ejection into the last link claim: a delivery only updates successors,
 /// the fused delivery time associates exactly as the unfused one, and
-/// successors still queue in the future, so no scalar result can tell
-/// (with contend_local_in off, which the constructor ensures). Traces and
-/// checkpoint snapshots can, so those runs take the heap.
+/// successors still queue in the future, so no scalar result can tell.
+/// Traces and checkpoint snapshots can, so those runs take the heap.
 struct Simulator::BucketCalendar {
   static constexpr bool kFusedEjection = true;
   detail::BucketQueue& calendar;
@@ -447,29 +442,17 @@ void Simulator::record_hop(graph::PacketId p, std::uint32_t hop,
 
 template <bool Full, bool Ckpt, class Queue>
 void Simulator::inject(Queue queue, graph::PacketId p, SimulationResult& out) {
-  double start = ready_[p] + comp_ns_[p];
-  const double n_tl = hot_[p].n_tl;
-  const noc::ResourceId local_in = src_local_in_[p];
-  bool contended = false;
-  // Nothing else reads the injection link's occupancy.
-  if (options_.contend_local_in) {
-    if (start < link_free_[local_in]) {
-      contention_[p] += link_free_[local_in] - start;
-      start = link_free_[local_in];
-      contended = true;
-    }
-    link_free_[local_in] = start + n_tl;
-  }
+  // Local links overlap freely, so injection never waits.
+  const double start = ready_[p] + comp_ns_[p];
   if constexpr (Full) {
+    const double end = start + hot_[p].n_tl;
+    const noc::ResourceId local_in = src_local_in_[p];
     PacketTrace& trace = out.packets[p];
     trace.packet = p;
     trace.ready_ns = ready_[p];
     trace.inject_ns = start;
-    if (options_.record_traces) {
-      trace.hops.push_back(HopRecord{local_in, start, start + n_tl});
-      out.occupancy[local_in].push_back(
-          Occupancy{p, start, start + n_tl, contended});
-    }
+    trace.hops.push_back(HopRecord{local_in, start, end});
+    out.occupancy[local_in].push_back(Occupancy{p, start, end, false});
   }
   if constexpr (Ckpt) {
     ev_time_[p] = start + tl_;
@@ -531,9 +514,7 @@ void Simulator::run_impl(const mapping::Mapping& mapping, double reject_above,
     for (graph::PacketId p = 0; p < num_packets; ++p) {
       out.packets[p].num_routers = hot_[p].len;
     }
-    if (options_.record_traces) {
-      out.occupancy.assign(topo_.num_resources(), {});
-    }
+    out.occupancy.assign(topo_.num_resources(), {});
   }
 
   // Dynamic energy is a pure function of the bindings; re-accumulate it in
@@ -586,16 +567,12 @@ void Simulator::run_impl(const mapping::Mapping& mapping, double reject_above,
   }
 
   if constexpr (Full) {
-    if (options_.record_traces) {
-      for (auto& list : out.occupancy) {
-        std::sort(list.begin(), list.end(),
-                  [](const Occupancy& a, const Occupancy& b) {
-                    if (a.start_ns != b.start_ns) {
-                      return a.start_ns < b.start_ns;
-                    }
-                    return a.packet < b.packet;
-                  });
-      }
+    for (auto& list : out.occupancy) {
+      std::sort(list.begin(), list.end(),
+                [](const Occupancy& a, const Occupancy& b) {
+                  if (a.start_ns != b.start_ns) return a.start_ns < b.start_ns;
+                  return a.packet < b.packet;
+                });
     }
   }
 
@@ -647,9 +624,9 @@ void Simulator::record_ckpt(const Progress& at, const SimulationResult& out) {
 ///  * The first pop whose processing can differ between the old and new
 ///    bindings is the earliest first-event key K* over the rebound (dirty)
 ///    packets: earlier pops touch no dirty packet and read no state a
-///    dirty packet wrote (injection's local-link write is unobservable with
-///    contend_local_in off), so any snapshot whose next pop key is <= K*
-///    restores a state the new run shares bitwise.
+///    dirty packet wrote (injection writes no shared state), so any
+///    snapshot whose next pop key is <= K* restores a state the new run
+///    shares bitwise.
 void Simulator::run_ckpt(SimulationResult& out) {
   const std::size_t num_packets = cdcg_.num_packets();
   ++ckpt_stats_.runs;
@@ -851,11 +828,7 @@ Simulator::Progress Simulator::run_loop(Queue queue, const Flow& flow,
       const double header_out = arrival + wait + tr;
       link_free_[link] = header_out + n_tl;
       flow.claimed(p, hop, header_out, wait, out);
-      if constexpr (Full) {
-        if (options_.record_traces) {
-          record_hop(p, hop, link, arrival, header_out, out);
-        }
-      }
+      if constexpr (Full) record_hop(p, hop, link, arrival, header_out, out);
       if (Queue::kFusedEjection && hop + 2 == hp.len) {
         // The final link: eject without a further event, associating as
         // the unfused ejection does: ((header_out + tl) + tr) + n_tl.
@@ -875,9 +848,7 @@ Simulator::Progress Simulator::run_loop(Queue queue, const Flow& flow,
       const double header_out = arrival + tr;
       flow.ejected(p, hop, header_out, out);
       if constexpr (Full) {
-        if (options_.record_traces) {
-          record_hop(p, hop, dst_local_out_[p], arrival, header_out, out);
-        }
+        record_hop(p, hop, dst_local_out_[p], arrival, header_out, out);
       }
       deliver<Full, Ckpt>(queue, p, header_out + n_tl, st, out);
       if (over_bound()) break;

@@ -101,22 +101,19 @@ class Simulator {
       double reject_above = std::numeric_limits<double>::infinity());
 
   /// Evaluate `mapping` and return the full result by value: per-packet
-  /// records always, hop/occupancy traces when options.record_traces. This
-  /// is the semantics of sim::simulate().
+  /// records, hop lists and occupancy lists. This is the semantics of
+  /// sim::simulate().
   SimulationResult run_traced(const mapping::Mapping& mapping);
 
-  const noc::RouteTable& route_table() const { return routes_; }
-  const SimOptions& options() const { return options_; }
-
-  /// True when options().checkpoints is set AND this binding is eligible
-  /// (link-claim backend, contend_local_in off, tr > 0 and tl > 0, at least
-  /// one packet). Ineligible bindings silently fall back to full
-  /// resimulation, so results never depend on this flag.
+  /// True when SimOptions::checkpoints is set AND this binding is eligible
+  /// (link-claim backend, tr > 0 and tl > 0, at least one packet).
+  /// Ineligible bindings silently fall back to full resimulation, so
+  /// results never depend on this flag.
   bool checkpointing_active() const { return ckpt_active_; }
   const CheckpointStats& checkpoint_stats() const { return ckpt_stats_; }
   void reset_checkpoint_stats() { ckpt_stats_ = CheckpointStats{}; }
   /// The resolved snapshot cadence in pops (the auto-tuned value when
-  /// options().checkpoint_interval == 0).
+  /// SimOptions::checkpoint_interval == 0).
   std::uint64_t checkpoint_interval() const { return ckpt_interval_res_; }
 
  private:
@@ -283,8 +280,8 @@ class Simulator {
 
   // --- Integer-time fast path ----------------------------------------------
   /// True when every timing constant is an exact integer (in ns), routes
-  /// are short enough to pack, the worst-case horizon is bounded and
-  /// contend_local_in is off — verified in the constructor, never assumed.
+  /// are short enough to pack and the worst-case horizon is bounded —
+  /// verified in the constructor, never assumed.
   /// Scalar runs then use the bucket calendar; all arithmetic stays exact,
   /// so results are byte-identical to the heap.
   bool bucket_mode_ = false;

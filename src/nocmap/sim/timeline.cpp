@@ -24,7 +24,7 @@ std::string render_annotations(const SimulationResult& result,
                                const noc::Topology& topo) {
   if (result.occupancy.empty() && cdcg.num_packets() != 0) {
     throw std::logic_error(
-        "render_annotations: simulation was run without record_traces");
+        "render_annotations: the result carries no traces (a scalar run)");
   }
   std::ostringstream os;
   for (noc::ResourceId r = 0; r < result.occupancy.size(); ++r) {

@@ -18,8 +18,9 @@
 namespace nocmap::sim {
 
 /// Figure-3-style resource annotations. Only resources with at least one
-/// occupancy entry are listed. Requires the simulation to have been run with
-/// record_traces = true (throws std::logic_error otherwise).
+/// occupancy entry are listed. Requires a traced result (sim::simulate() or
+/// Simulator::run_traced()); a scalar Simulator::run() result carries no
+/// occupancy lists and throws std::logic_error.
 std::string render_annotations(const SimulationResult& result,
                                const graph::Cdcg& cdcg,
                                const noc::Topology& topo);

@@ -17,6 +17,21 @@
 
 namespace nocmap::util {
 
+/// SplitMix64's output finalizer: a bijective 64-bit mix with good
+/// avalanche, the step Rng applies to its counter.
+inline std::uint64_t mix(std::uint64_t z) {
+  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+  return z ^ (z >> 31);
+}
+
+/// Fold `v` into the running hash `h` (a hash_combine step finished by
+/// mix()), so hashing a sequence field by field behaves like a real hash.
+/// The library's canonical hashes and results digests are chains of folds.
+inline std::uint64_t fold(std::uint64_t h, std::uint64_t v) {
+  return mix(h ^ (v + 0x9E3779B97F4A7C15ULL + (h << 6) + (h >> 2)));
+}
+
 /// SplitMix64 engine. Satisfies std::uniform_random_bit_generator.
 class Rng {
  public:
@@ -30,12 +45,7 @@ class Rng {
   }
 
   /// Next raw 64-bit value.
-  result_type operator()() {
-    std::uint64_t z = (state_ += 0x9E3779B97F4A7C15ULL);
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-    return z ^ (z >> 31);
-  }
+  result_type operator()() { return mix(state_ += 0x9E3779B97F4A7C15ULL); }
 
   /// Derive an independent child stream. The child's seed is drawn from this
   /// stream, then whitened with a distinct constant so parent and child do

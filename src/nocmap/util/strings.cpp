@@ -3,6 +3,7 @@
 #include <array>
 #include <cmath>
 #include <cstdio>
+#include <sstream>
 
 namespace nocmap::util {
 
@@ -64,6 +65,13 @@ std::string format_time_ns(double ns) {
   };
   if (ns == 0.0) return "0.000 ns";
   return scaled(ns, kScales, std::size(kScales));
+}
+
+std::string format_precise(double value) {
+  std::ostringstream os;
+  os.precision(17);
+  os << value;
+  return os.str();
 }
 
 }  // namespace nocmap::util

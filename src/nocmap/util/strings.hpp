@@ -24,4 +24,8 @@ std::string format_energy_j(double joule);
 /// Time in nanoseconds with unit scaling, e.g. 1500 -> "1.500 us".
 std::string format_time_ns(double ns);
 
+/// 17 significant digits, enough to round-trip any double, e.g. 0.1 ->
+/// "0.10000000000000001": the number format of the tracked BENCH JSON files.
+std::string format_precise(double value);
+
 }  // namespace nocmap::util

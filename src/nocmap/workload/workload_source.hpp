@@ -100,7 +100,8 @@ class WorkloadSource {
   /// std::out_of_range for index >= size().
   virtual WorkloadApp app(std::size_t index) const = 0;
 
-  /// All applications in index order. Convenience for exporters.
+  /// All applications in index order. Convenience for exporters and
+  /// `bench --scale --workload`.
   std::vector<WorkloadApp> all() const;
 
   /// Index of the application named `name`, or size() if absent.

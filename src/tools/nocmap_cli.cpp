@@ -1091,11 +1091,7 @@ int cmd_bench_scale(ScaleArgs args) {
     const std::unique_ptr<workload::WorkloadSource> source =
         open_source(spec);
     std::cerr << "workload source: " << source->provenance() << "\n";
-    for (std::size_t i = 0; i < source->size(); ++i) {
-      workload::WorkloadApp app = source->app(i);
-      options.workloads.push_back({std::move(app.name), app.noc_width,
-                                   app.noc_height, std::move(app.cdcg)});
-    }
+    options.workloads = source->all();
   }
   if (options.sizes.empty()) options.sizes = core::ScaleBenchOptions().sizes;
   const core::ScaleBenchReport report = core::run_scale_bench(options);

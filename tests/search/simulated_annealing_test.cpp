@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "nocmap/search/greedy.hpp"
 #include "nocmap/search/random_search.hpp"
 #include "nocmap/workload/paper_example.hpp"
 #include "nocmap/workload/random_cdcg.hpp"
@@ -57,6 +58,51 @@ TEST(SimulatedAnnealingTest, NeverWorseThanItsOwnStart) {
     const SearchResult result = anneal(cost, f.mesh, rng);
     EXPECT_LE(result.best_cost, result.initial_cost);
   }
+}
+
+/// An exact objective whose swap_delta() under-reports every move by 1 J,
+/// far more than any real change: every move looks like an improvement,
+/// as a prefiltering delta (HybridCost's CWM half) can make a worse move
+/// look.
+class UnderReportingCost final : public mapping::CostFunction {
+ public:
+  explicit UnderReportingCost(const mapping::CostFunction& exact)
+      : exact_(exact) {}
+  double cost(const mapping::Mapping& m) const override {
+    return exact_.cost(m);
+  }
+  std::string name() const override { return "under-reporting"; }
+  std::size_t num_cores() const override { return exact_.num_cores(); }
+  bool has_swap_delta() const override { return true; }
+  double swap_delta(const mapping::Mapping& m, noc::TileId a,
+                    noc::TileId b) const override {
+    return exact_.swap_delta(m, a, b) - 1.0;
+  }
+
+ private:
+  const mapping::CostFunction& exact_;
+};
+
+TEST(SimulatedAnnealingTest, NeverWorseThanItsSeedWhenDeltasUnderReport) {
+  util::Rng gen(42);
+  workload::RandomCdcgParams params;
+  params.num_cores = 12;
+  params.num_packets = 60;
+  params.total_bits = 60000;
+  const graph::Cdcg cdcg = workload::generate_random_cdcg(params, gen);
+  const graph::Cwg cwg = cdcg.to_cwg();
+  const noc::Mesh mesh(4, 4);
+  const mapping::CwmCost exact(cwg, mesh, energy::example_technology());
+  const UnderReportingCost cost(exact);
+  const mapping::Mapping seed = greedy_mapping(cwg, mesh);
+
+  SaOptions options;
+  options.max_steps = 10;  // Every step "improves", so none goes stale.
+  util::Rng rng(3);
+  const SearchResult result = anneal(cost, mesh, rng, options, &seed);
+  EXPECT_EQ(result.initial_cost, exact.cost(seed));
+  EXPECT_LE(result.best_cost, exact.cost(seed));
+  EXPECT_EQ(result.best_cost, exact.cost(result.best));
 }
 
 TEST(SimulatedAnnealingTest, BeatsRandomSearchOnABiggerInstance) {

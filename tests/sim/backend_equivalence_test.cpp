@@ -228,22 +228,19 @@ TEST(BackendSuiteEquivalence, AllEighteenAppsBitwiseOnEveryTopology) {
   const energy::Technology tech = energy::technology_0_07u();
   const std::vector<workload::SuiteEntry> suite = workload::table1_suite();
   ASSERT_EQ(suite.size(), 18u);
-  SimOptions scalar_only;  // Traces are compared in the randomized tests;
-  scalar_only.record_traces = false;  // the big boards just check scalars.
   for (const workload::SuiteEntry& app : suite) {
     const std::uint32_t depth = never_binding_depth(app.cdcg, tech);
     for (const char* kind : kTopologyKinds) {
       const std::unique_ptr<noc::Topology> topo =
           noc::make_topology(kind, app.noc_width, app.noc_height);
       const mapping::Mapping m(*topo, app.cdcg.num_cores());
-      SimOptions link_options = scalar_only;
-      const SimulationResult link =
-          simulate(app.cdcg, *topo, m, tech, link_options);
+      // Traces are compared in the randomized tests; the big boards just
+      // check scalars.
+      const SimulationResult link = simulate(app.cdcg, *topo, m, tech);
       for (const FlowControl fc :
            {FlowControl::kCredit, FlowControl::kOnOff}) {
-        SimOptions fo = flit_options(depth, fc);
-        fo.record_traces = false;
-        const SimulationResult flit = simulate(app.cdcg, *topo, m, tech, fo);
+        const SimulationResult flit =
+            simulate(app.cdcg, *topo, m, tech, flit_options(depth, fc));
         const std::string what = app.name + "/" + kind;
         EXPECT_EQ(link.texec_ns, flit.texec_ns) << what;
         EXPECT_EQ(link.energy.dynamic_j, flit.energy.dynamic_j) << what;

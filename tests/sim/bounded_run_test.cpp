@@ -3,8 +3,9 @@
 /// bitwise the unbounded run, a run stops only when the unbounded cost is
 /// above the bound, and a stopped run leaves the arena ready for the next
 /// run. Checked on every queue and flow-control policy of the event loop:
-/// the heap (contend_local_in), the bucket calendar, and the flit backend
-/// under credit, on/off and virtual cut-through at depths 1 and 8.
+/// the heap (forced by a 1.5 ns clock, whose flit times are not integers),
+/// the bucket calendar, and the flit backend under credit, on/off and
+/// virtual cut-through at depths 1 and 8.
 
 #include <algorithm>
 #include <cmath>
@@ -31,6 +32,7 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 struct Backend {
   std::string name;
   SimOptions options;
+  double clock_period_ns = 1.0;  ///< technology_0_07u's clock.
 };
 
 // gtest would otherwise print the backend as raw bytes, heap pointers
@@ -40,9 +42,7 @@ void PrintTo(const Backend& b, std::ostream* os) { *os << b.name; }
 
 std::vector<Backend> backends() {
   std::vector<Backend> out;
-  SimOptions heap;
-  heap.contend_local_in = true;  // The calendar never sees local-in contention.
-  out.push_back({"heap-local-in", heap});
+  out.push_back({"heap", SimOptions{}, 1.5});
   out.push_back({"calendar", SimOptions{}});
   for (const std::uint32_t depth : {1u, 8u}) {
     for (const char* mode : {"credit", "onoff", "vct"}) {
@@ -58,7 +58,6 @@ std::vector<Backend> backends() {
                      flit});
     }
   }
-  for (Backend& b : out) b.options.record_traces = false;
   return out;
 }
 
@@ -70,12 +69,13 @@ struct Instance {
   noc::Mesh mesh{3, 3};
   energy::Technology tech = energy::technology_0_07u();
 
-  explicit Instance(const SimOptions& options, std::uint64_t seed = 7) {
+  explicit Instance(const SimOptions& options, double clock_period_ns = 1.0) {
+    tech.clock_period_ns = clock_period_ns;
     workload::RandomCdcgParams params;
     params.num_cores = 8;
     params.num_packets = 40;
     params.total_bits = 81'920;
-    util::Rng rng(seed);
+    util::Rng rng(7);
     cdcg = workload::generate_random_cdcg(params, rng);
     if (options.switching == Switching::kVirtualCutThrough) {
       std::uint64_t max_bits = 1;
@@ -111,7 +111,7 @@ class BoundedRunTest : public ::testing::TestWithParam<Backend> {};
 /// arena must equal a fresh Simulator.
 TEST_P(BoundedRunTest, CompletedRunsAreExactAndStopsOnlyRejectLosers) {
   const Backend& backend = GetParam();
-  const Instance inst(backend.options);
+  const Instance inst(backend.options, backend.clock_period_ns);
   Simulator shared(inst.cdcg, inst.mesh, inst.tech, backend.options);
   util::Rng rng(11);
   int mid_run_stops = 0;
@@ -170,7 +170,7 @@ TEST_P(BoundedRunTest, CompletedRunsAreExactAndStopsOnlyRejectLosers) {
 /// stops every run at its first delivery, with packets still queued.
 TEST_P(BoundedRunTest, PlainRunAfterAStopCompletes) {
   const Backend& backend = GetParam();
-  const Instance inst(backend.options);
+  const Instance inst(backend.options, backend.clock_period_ns);
   Simulator simulator(inst.cdcg, inst.mesh, inst.tech, backend.options);
   Simulator fresh(inst.cdcg, inst.mesh, inst.tech, backend.options);
   const mapping::Mapping m(inst.mesh, inst.cdcg.num_cores());
@@ -197,7 +197,6 @@ INSTANTIATE_TEST_SUITE_P(
 /// ladder describing a run that never finished.
 TEST(BoundedRunCheckpointTest, CheckpointedRunsIgnoreTheBound) {
   SimOptions options;
-  options.record_traces = false;
   options.checkpoints = true;
   const Instance inst(options);
   Simulator ckpt(inst.cdcg, inst.mesh, inst.tech, options);

@@ -74,15 +74,12 @@ TEST(CheckpointEquivalence, RandomWalksBitwiseEqualFullResim) {
         const graph::Cdcg cdcg = make_workload(*topo, seed);
 
         sim::SimOptions co;
-        co.record_traces = false;
         co.checkpoints = true;
         co.checkpoint_interval = interval;
         sim::Simulator ckpt(cdcg, *topo, tech, co);
         ASSERT_TRUE(ckpt.checkpointing_active());
 
-        sim::SimOptions fo;
-        fo.record_traces = false;
-        sim::Simulator full(cdcg, *topo, tech, fo);
+        sim::Simulator full(cdcg, *topo, tech);
 
         const std::uint32_t tiles = topo->num_tiles();
         util::Rng rng(seed * 977 + interval);
@@ -264,7 +261,6 @@ TEST(CheckpointEquivalence, FlitBackendFallsBackToFullResim) {
   const energy::Technology tech = energy::technology_0_07u();
 
   sim::SimOptions co;
-  co.record_traces = false;
   co.checkpoints = true;
   co.backend = sim::SimBackend::kFlit;
   co.buffer_depth = 2;
@@ -302,7 +298,6 @@ TEST(CheckpointEquivalence, StatsAndIntervalAccessors) {
   const energy::Technology tech = energy::technology_0_07u();
 
   sim::SimOptions co;
-  co.record_traces = false;
   co.checkpoints = true;
   sim::Simulator s(cdcg, *topo, tech, co);
   EXPECT_GE(s.checkpoint_interval(), 32u);  // Auto floor.

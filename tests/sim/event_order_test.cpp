@@ -157,7 +157,6 @@ TEST(EventOrderTest, PermutedPacketConstructionYieldsPermutedTraces) {
   const std::size_t num_cores = 4;
   const noc::Mesh mesh(2, 2);
   const energy::Technology tech = energy::technology_0_07u();
-  SimOptions options;  // record_traces = true.
 
   std::vector<std::size_t> identity(specs.size());
   for (std::size_t i = 0; i < specs.size(); ++i) identity[i] = i;
@@ -165,7 +164,7 @@ TEST(EventOrderTest, PermutedPacketConstructionYieldsPermutedTraces) {
   const graph::Cdcg base =
       build_permuted(specs, identity, num_cores, base_ids);
   mapping::Mapping m(mesh, num_cores);
-  const SimulationResult base_result = simulate(base, mesh, m, tech, options);
+  const SimulationResult base_result = simulate(base, mesh, m, tech);
 
   util::Rng rng(1234);
   for (int trial = 0; trial < 10; ++trial) {
@@ -173,7 +172,7 @@ TEST(EventOrderTest, PermutedPacketConstructionYieldsPermutedTraces) {
     rng.shuffle(order);
     std::vector<graph::PacketId> ids;
     const graph::Cdcg permuted = build_permuted(specs, order, num_cores, ids);
-    const SimulationResult result = simulate(permuted, mesh, m, tech, options);
+    const SimulationResult result = simulate(permuted, mesh, m, tech);
 
     // Scalars are construction-order independent. Per-event quantities are
     // exact; the dynamic-energy and contention *aggregates* are summed in

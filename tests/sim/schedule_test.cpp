@@ -100,23 +100,6 @@ TEST(ScheduleTest, ContentionSerializesLinkSharers) {
   EXPECT_LE(occ[0].end_ns, occ[1].start_ns);
 }
 
-TEST(ScheduleTest, NoTracesWhenDisabled) {
-  const auto cdcg = workload::paper_example_cdcg();
-  const auto mesh = workload::paper_example_mesh();
-  SimOptions options;
-  options.record_traces = false;
-  const auto result =
-      simulate(cdcg, mesh, workload::paper_mapping_a(), unit_tech(), options);
-  EXPECT_TRUE(result.occupancy.empty());
-  for (const auto& trace : result.packets) EXPECT_TRUE(trace.hops.empty());
-  // Scalar results identical to the traced run.
-  const auto traced =
-      simulate(cdcg, mesh, workload::paper_mapping_a(), unit_tech());
-  EXPECT_DOUBLE_EQ(result.texec_ns, traced.texec_ns);
-  EXPECT_DOUBLE_EQ(result.energy.total_j(), traced.energy.total_j());
-  EXPECT_DOUBLE_EQ(result.total_contention_ns, traced.total_contention_ns);
-}
-
 TEST(ScheduleTest, FlitWidthReducesSerialization) {
   graph::Cdcg cdcg;
   const auto a = cdcg.add_core("a");
@@ -159,28 +142,6 @@ TEST(ScheduleTest, RoutingAlgorithmChangesPathsAndPossiblyContention) {
   EXPECT_FALSE(rxy.occupancy[mesh.link_resource(0, 1)].empty());
   EXPECT_TRUE(ryx.occupancy[mesh.link_resource(0, 1)].empty());
   EXPECT_FALSE(ryx.occupancy[mesh.link_resource(0, 2)].empty());
-}
-
-TEST(ScheduleTest, LocalInjectionContentionIsOptional) {
-  // Two independent packets from the same core: with contend_local_in the
-  // core's single network interface streams them back-to-back; by default
-  // (the paper's model) local links overlap freely.
-  graph::Cdcg cdcg;
-  const auto a = cdcg.add_core("a");
-  const auto b = cdcg.add_core("b");
-  const auto c = cdcg.add_core("c");
-  cdcg.add_packet(a, b, 0, 10);
-  cdcg.add_packet(a, c, 0, 10);
-  const noc::Mesh mesh(3, 1);
-  const auto m = mapping::Mapping::from_assignment(mesh, {1, 0, 2});
-  SimOptions strict_options;
-  strict_options.contend_local_in = true;
-  const auto serialized = simulate(cdcg, mesh, m, unit_tech(), strict_options);
-  const auto relaxed = simulate(cdcg, mesh, m, unit_tech());
-  EXPECT_DOUBLE_EQ(relaxed.packets[0].inject_ns, 0.0);
-  EXPECT_DOUBLE_EQ(relaxed.packets[1].inject_ns, 0.0);
-  EXPECT_DOUBLE_EQ(serialized.packets[1].inject_ns, 10.0);  // After worm 0.
-  EXPECT_GT(serialized.texec_ns, relaxed.texec_ns);
 }
 
 TEST(ScheduleTest, MismatchedInputsThrow) {

@@ -1,10 +1,9 @@
 /// \file sim_options_test.cpp
-/// SimOptions off-path coverage: contend_local_in=false (the default: local
-/// injection links overlap freely) together with record_traces=true, with
-/// the occupancy lists asserted against hand-computed 2x2 schedules — for
-/// all three topology kinds. On a 2x2 grid torus and express mesh degrade
-/// to exactly the mesh (no wrap links on dimensions < 3, no room for
-/// express links), so one hand schedule pins all three.
+/// The traced path's occupancy lists with freely overlapping local
+/// injection links (the paper's model), asserted against hand-computed 2x2
+/// schedules — for all three topology kinds. On a 2x2 grid torus and
+/// express mesh degrade to exactly the mesh (no wrap links on dimensions
+/// < 3, no room for express links), so one hand schedule pins all three.
 ///
 /// Technology: example_technology — lambda = 1 ns, tr = 2, tl = 1,
 /// 1-bit flits.
@@ -19,10 +18,11 @@
 ///       0->1 [1+2=3 .. 3+2=5]; router 0 occupied [1, 3+1=4]; header at
 ///       router 1 at t=4; ejects local-out(1) [4+2=6 .. 8]; router 1
 ///       occupied [4, 7]. Delivered 8.
-///   p1: inject local-in(0) [0, 2] (overlaps p0 freely: contend_local_in
-///       off); header at router 0 at t=1; link 0->1 busy until 5: waits 4,
-///       claims [5+2=7 .. 9]; router 0 occupied [1, 8]; header at router 1
-///       at t=8; ejects local-out(1) [10, 12]. Delivered 12, contention 4.
+///   p1: inject local-in(0) [0, 2] (overlaps p0 freely: injection never
+///       contends); header at router 0 at t=1; link 0->1 busy until 5:
+///       waits 4, claims [5+2=7 .. 9]; router 0 occupied [1, 8]; header at
+///       router 1 at t=8; ejects local-out(1) [10, 12]. Delivered 12,
+///       contention 4.
 ///   p2: ready 0, comp 1; inject local-in(1) [1, 2]; header at router 1 at
 ///       t=2; claims link 1->0 [4, 5]; router 1 occupied [2, 4]; header at
 ///       router 0 at t=5; ejects local-out(0) [7, 8]; router 0 occupied
@@ -75,10 +75,7 @@ TEST_P(SimOptionsOffPathTest, HandComputed2x2OccupancyWithFreeLocalLinks) {
   const energy::Technology tech = energy::example_technology();
   const mapping::Mapping m(*topo, 4);
 
-  SimOptions options;
-  options.record_traces = true;       // The traced off-path under test.
-  options.contend_local_in = false;   // Default, asserted explicitly.
-  const SimulationResult r = simulate(cdcg, *topo, m, tech, options);
+  const SimulationResult r = simulate(cdcg, *topo, m, tech);
 
   EXPECT_EQ(r.texec_ns, 12.0);
   EXPECT_EQ(r.total_contention_ns, 4.0);
@@ -117,16 +114,7 @@ TEST_P(SimOptionsOffPathTest, HandComputed2x2OccupancyWithFreeLocalLinks) {
               {{0, 6.0, 8.0, false}, {1, 10.0, 12.0, true}}, "local_out(1)");
   expect_list(r.occupancy[topo->local_out_resource(0)],
               {{2, 7.0, 8.0, false}}, "local_out(0)");
-
-  // Cross-check: with contend_local_in the same workload serializes at the
-  // source — p1's injection is pushed back behind p0's worm (its total
-  // contention stays 4 ns here, but it moves from the link to the local
-  // port, delaying the injection itself).
-  SimOptions contended = options;
-  contended.contend_local_in = true;
-  const SimulationResult rc = simulate(cdcg, *topo, m, tech, contended);
   EXPECT_EQ(r.packets[1].inject_ns, 0.0);
-  EXPECT_EQ(rc.packets[1].inject_ns, 2.0);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllTopologies, SimOptionsOffPathTest,

@@ -35,16 +35,12 @@ TEST(SimulatorTest, RunMatchesSimulateOnThePaperExample) {
   const graph::Cdcg cdcg = workload::paper_example_cdcg();
   const noc::Mesh mesh = workload::paper_example_mesh();
   const energy::Technology tech = energy::example_technology();
-  SimOptions options;
-  options.record_traces = false;
-
-  Simulator simulator(cdcg, mesh, tech, options);
+  Simulator simulator(cdcg, mesh, tech);
   util::Rng rng(1);
   for (int trial = 0; trial < 12; ++trial) {
     const mapping::Mapping m =
         mapping::Mapping::random(mesh, cdcg.num_cores(), rng);
-    expect_same_scalars(simulator.run(m),
-                        simulate(cdcg, mesh, m, tech, options));
+    expect_same_scalars(simulator.run(m), simulate(cdcg, mesh, m, tech));
   }
 }
 
@@ -53,16 +49,13 @@ TEST(SimulatorTest, ArenaReuseMatchesSimulateOnRandomWorkloads) {
     const graph::Cdcg cdcg = random_cdcg(10, seed);
     const noc::Mesh mesh(4, 3);
     const energy::Technology tech = energy::technology_0_07u();
-    SimOptions options;
-    options.record_traces = false;
 
-    Simulator simulator(cdcg, mesh, tech, options);
+    Simulator simulator(cdcg, mesh, tech);
     util::Rng rng(seed * 13 + 1);
     for (int trial = 0; trial < 25; ++trial) {
       const mapping::Mapping m =
           mapping::Mapping::random(mesh, cdcg.num_cores(), rng);
-      expect_same_scalars(simulator.run(m),
-                          simulate(cdcg, mesh, m, tech, options));
+      expect_same_scalars(simulator.run(m), simulate(cdcg, mesh, m, tech));
     }
   }
 }
@@ -71,10 +64,8 @@ TEST(SimulatorTest, RepeatedRunsOfTheSameMappingAreIdentical) {
   const graph::Cdcg cdcg = random_cdcg(8, 21);
   const noc::Mesh mesh(3, 3);
   const energy::Technology tech = energy::technology_0_07u();
-  SimOptions options;
-  options.record_traces = false;
 
-  Simulator simulator(cdcg, mesh, tech, options);
+  Simulator simulator(cdcg, mesh, tech);
   util::Rng rng(9);
   const mapping::Mapping m =
       mapping::Mapping::random(mesh, cdcg.num_cores(), rng);
@@ -103,14 +94,13 @@ TEST(SimulatorTest, RunTracedMatchesSimulateIncludingTraces) {
   const graph::Cdcg cdcg = random_cdcg(9, 33);
   const noc::Mesh mesh(3, 3);
   const energy::Technology tech = energy::technology_0_07u();
-  SimOptions options;  // record_traces = true.
 
-  Simulator simulator(cdcg, mesh, tech, options);
+  Simulator simulator(cdcg, mesh, tech);
   util::Rng rng(77);
   const mapping::Mapping m =
       mapping::Mapping::random(mesh, cdcg.num_cores(), rng);
   const SimulationResult a = simulator.run_traced(m);
-  const SimulationResult b = simulate(cdcg, mesh, m, tech, options);
+  const SimulationResult b = simulate(cdcg, mesh, m, tech);
 
   expect_same_scalars(a, b);
   ASSERT_EQ(a.packets.size(), b.packets.size());
@@ -139,24 +129,6 @@ TEST(SimulatorTest, RunTracedMatchesSimulateIncludingTraces) {
   }
 }
 
-TEST(SimulatorTest, HonoursBufferAndLocalInOptions) {
-  const graph::Cdcg cdcg = random_cdcg(10, 55);
-  const noc::Mesh mesh(4, 3);
-  const energy::Technology tech = energy::technology_0_07u();
-  SimOptions options;
-  options.record_traces = false;
-  options.contend_local_in = true;
-
-  Simulator simulator(cdcg, mesh, tech, options);
-  util::Rng rng(8);
-  for (int trial = 0; trial < 10; ++trial) {
-    const mapping::Mapping m =
-        mapping::Mapping::random(mesh, cdcg.num_cores(), rng);
-    expect_same_scalars(simulator.run(m),
-                        simulate(cdcg, mesh, m, tech, options));
-  }
-}
-
 // On integer timing run() takes the bucket calendar; with a 1.5 ns clock
 // (non-integer flit times) both sides take the heap.
 TEST(SimulatorTest, RunMatchesRunTracedOnEveryTopologyAndQueue) {
@@ -174,9 +146,7 @@ TEST(SimulatorTest, RunMatchesRunTracedOnEveryTopologyAndQueue) {
          {energy::technology_0_07u(), slow_clock}) {
       SCOPED_TRACE(topo->label() + " at " +
                    std::to_string(tech.clock_period_ns) + " ns");
-      SimOptions options;
-      options.record_traces = false;
-      Simulator simulator(cdcg, *topo, tech, options);
+      Simulator simulator(cdcg, *topo, tech);
       util::Rng rng(5);
       for (int trial = 0; trial < 15; ++trial) {
         const mapping::Mapping m =
@@ -188,8 +158,11 @@ TEST(SimulatorTest, RunMatchesRunTracedOnEveryTopologyAndQueue) {
   }
 }
 
-// contend_local_in makes injection order observable: a successor must be
-// injected at its predecessor's delivery, in event order.
+// Thirty-five CDCGs of 6-12 cores and 3-7 packets per core on integer
+// timing: run() on the bucket calendar, with its fused ejections, agrees
+// with run_traced() on the heap. Injection links overlap freely (the
+// paper's model has no local-in contention), so successors inject at their
+// predecessors' deliveries whatever the queue.
 TEST(SimulatorTest, RunMatchesRunTracedWithAndWithoutLocalInContention) {
   const energy::Technology tech = energy::technology_0_07u();
   for (std::uint32_t cores = 6; cores <= 12; ++cores) {
@@ -201,21 +174,14 @@ TEST(SimulatorTest, RunMatchesRunTracedWithAndWithoutLocalInContention) {
       params.total_bits = params.num_packets * 200;
       util::Rng graph_rng(cores * 100 + per_core);
       const graph::Cdcg cdcg = workload::generate_random_cdcg(params, graph_rng);
-      for (const bool local_in : {false, true}) {
-        SCOPED_TRACE(std::to_string(cores) + " cores, " +
-                     std::to_string(params.num_packets) + " packets, " +
-                     (local_in ? "contend_local_in" : "free local links"));
-        SimOptions options;
-        options.record_traces = false;
-        options.contend_local_in = local_in;
-        Simulator simulator(cdcg, mesh, tech, options);
-        util::Rng rng(cores * 7 + per_core);
-        for (int trial = 0; trial < 20; ++trial) {
-          const mapping::Mapping m =
-              mapping::Mapping::random(mesh, cores, rng);
-          const SimulationResult traced = simulator.run_traced(m);
-          expect_same_scalars(simulator.run(m), traced);
-        }
+      SCOPED_TRACE(std::to_string(cores) + " cores, " +
+                   std::to_string(params.num_packets) + " packets");
+      Simulator simulator(cdcg, mesh, tech);
+      util::Rng rng(cores * 7 + per_core);
+      for (int trial = 0; trial < 20; ++trial) {
+        const mapping::Mapping m = mapping::Mapping::random(mesh, cores, rng);
+        const SimulationResult traced = simulator.run_traced(m);
+        expect_same_scalars(simulator.run(m), traced);
       }
     }
   }

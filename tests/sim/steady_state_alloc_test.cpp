@@ -96,7 +96,6 @@ TEST(SteadyStateAllocTest, PricingAMoveAllocatesNothing) {
           noc::make_topology("mesh", side, side);
       const graph::Cdcg cdcg = bench_workload(*topo);
       sim::SimOptions options;
-      options.record_traces = false;
       if (flit) {
         options.backend = sim::SimBackend::kFlit;
         options.buffer_depth = 8;
@@ -150,7 +149,6 @@ TEST(SteadyStateAllocTest, BoundedRunsAllocateNothing) {
           noc::make_topology("mesh", side, side);
       const graph::Cdcg cdcg = bench_workload(*topo);
       sim::SimOptions options;
-      options.record_traces = false;
       if (flit) {
         options.backend = sim::SimBackend::kFlit;
         options.buffer_depth = 8;

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "nocmap/sim/simulator.hpp"
 #include "nocmap/workload/paper_example.hpp"
 
 namespace nocmap::sim {
@@ -44,10 +45,8 @@ TEST_F(TimelineTest, ContendedEntriesAreStarred) {
 }
 
 TEST_F(TimelineTest, AnnotationsRequireTraces) {
-  SimOptions options;
-  options.record_traces = false;
-  const auto bare =
-      simulate(cdcg_, mesh_, workload::paper_mapping_a(), tech_, options);
+  Simulator simulator(cdcg_, mesh_, tech_);
+  const SimulationResult& bare = simulator.run(workload::paper_mapping_a());
   EXPECT_THROW(render_annotations(bare, cdcg_, mesh_), std::logic_error);
 }
 
