@@ -74,7 +74,7 @@ Technology technology_0_07u() {
   // ECS0.07 ~20%). The absolute value (~3 mW per router) is high compared
   // to published 70 nm router leakage; it is chosen to reproduce the
   // paper's *relative* static/dynamic balance, not absolute power
-  // (DESIGN.md substitution #3).
+  // (PAPER.md, documented deviation 2).
   t.p_srouter_j_per_ns = 3.0e-12;
   t.tr_cycles = 2;
   t.tl_cycles = 1;

@@ -16,8 +16,8 @@
 /// ratio is tuned so that the static share of NoC energy is negligible at
 /// 0.35u and of the order the paper reports for 0.07u (leakage "reaching up
 /// to 20%" of total consumption and dominating the ECS difference). This
-/// substitution is documented in DESIGN.md; it preserves the relative
-/// CWM-vs-CDCM comparison, which is what Table 2 reports.
+/// substitution is PAPER.md's documented deviation 2; it preserves the
+/// relative CWM-vs-CDCM comparison, which is what Table 2 reports.
 
 #include <cstdint>
 #include <string>

@@ -11,7 +11,8 @@
 /// the sample vector at the start; one or two output packets collect the
 /// spectrum at the end.
 ///
-/// Two shipped variants match Table 1 exactly:
+/// The dataflow is a reconstruction (PAPER.md, documented deviation 4). Two
+/// shipped variants match Table 1 exactly:
 ///  * variant 1: shared I/O core     -> 9 cores, 2+12+4 = 18 packets;
 ///  * variant 2: split in/out cores  -> 10 cores, 2+12+1 = 15 packets.
 

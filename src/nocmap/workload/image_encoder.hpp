@@ -11,7 +11,8 @@
 /// and the quantizers through tiny control packets — latency-critical
 /// traffic that a volume-only (CWM) mapping cannot see.
 ///
-/// Two shipped variants match Table 1 exactly:
+/// The dataflow is a reconstruction (PAPER.md, documented deviation 4). Two
+/// shipped variants match Table 1 exactly:
 ///  * variant 1 (7 cores): source, dctA, dctB, quant, vlc, memory, control;
 ///    packets = 4 * blocks + 1 (8 blocks -> 33).
 ///  * variant 2 (9 cores): two full DCT+quant lanes converging on a shared

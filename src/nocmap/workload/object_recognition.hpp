@@ -11,7 +11,8 @@
 /// sit on the critical path — the structural reason a timing-aware (CDCM)
 /// mapping beats a volume-only (CWM) one.
 ///
-/// Two shipped variants match Table 1 exactly:
+/// The dataflow is a reconstruction (PAPER.md, documented deviation 4). Two
+/// shipped variants match Table 1 exactly:
 ///  * variant 1 (6 cores): camera / memory / segment / feature / classify /
 ///    control; detection frames (through the frame buffer) alternate with
 ///    tracking frames (camera feeds segmentation directly, the classifier

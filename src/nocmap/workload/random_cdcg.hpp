@@ -5,7 +5,7 @@
 /// The paper's random benchmarks come from "a proprietary system, similar to
 /// TGFF; however, the system describes benchmarks through CDCGs, representing
 /// message dependence and bit volume of each message". This generator is our
-/// substitute (DESIGN.md, substitution #1). It emits graphs with the two
+/// substitute (PAPER.md, documented deviation 1). It emits graphs with the two
 /// traffic populations typical of embedded MPSoC workloads — and necessary
 /// for the CWM-vs-CDCM comparison to be meaningful:
 ///

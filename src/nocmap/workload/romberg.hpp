@@ -3,13 +3,13 @@
 /// Distributed Romberg integration — one of the paper's four embedded
 /// applications (Table 1).
 ///
-/// Structure (substitution #2 in DESIGN.md): a master core scatters interval
-/// descriptors; the workers then iterate refinement rounds in which each
-/// worker (a) passes its sub-interval boundary values to its ring neighbour
-/// — a small, latency-critical packet that gates the neighbour's next round
-/// — and (b) uploads a bulk partial-sum column to the master. After the last
-/// round each worker uploads its final tableau row and the master exchanges
-/// Richardson-extrapolation rows with worker 0.
+/// Structure (a reconstruction: PAPER.md, documented deviation 4): a master
+/// core scatters interval descriptors; the workers then iterate refinement
+/// rounds in which each worker (a) passes its sub-interval boundary values
+/// to its ring neighbour — a small, latency-critical packet that gates the
+/// neighbour's next round — and (b) uploads a bulk partial-sum column to the
+/// master. After the last round each worker uploads its final tableau row
+/// and the master exchanges Richardson-extrapolation rows with worker 0.
 ///
 /// The bulk star (workers -> master) carries nearly all volume; the small
 /// ring carries the critical path. A volume-only (CWM) mapping optimizes the

@@ -146,4 +146,15 @@ bool small_enough_for_exhaustive(std::uint32_t width, std::uint32_t height) {
   return width * height <= 12;
 }
 
+const std::array<PaperTable2Row, 8> kPaperTable2{{
+    {"3 x 2", 36, 0.50, 15},
+    {"2 x 4", 27, 0.43, 13},
+    {"3 x 3", 39, 0.55, 17},
+    {"2 x 5", 42, 0.72, 23},
+    {"3 x 4", 42, 0.71, 22},
+    {"8 x 8", 38, 0.60, 19},
+    {"10 x 10", 46, 0.80, 25},
+    {"12 x 10", 48, 0.86, 26},
+}};
+
 }  // namespace nocmap::workload

@@ -5,7 +5,7 @@
 /// Table-1 workload suite behind five subcommands:
 ///
 ///   nocmap explore      optimize one workload under CWM and CDCM and compare
-///   nocmap bench        run the Table-1 suite, print Table-2-style ETR/ECS rows
+///   nocmap bench        run the Table-1 suite, print Table 2 beside the paper's
 ///   nocmap workloads    list the built-in workloads and their statistics
 ///   nocmap sweep        repeat explore over a seed range and aggregate
 ///   nocmap serve-bench  load-test the caching/warm-start serving engine
@@ -55,9 +55,9 @@ Subcommands:
   explore     Optimize one workload under the CWM (Equation 3) and CDCM
               (Equation 10) objectives and compare both mappings with the
               ground-truth wormhole simulator (ETR / ECS).
-  bench       Run the paper's 18-application Table-1 suite and print
-              Table-2-style ETR/ECS rows; `bench --scale` runs the
-              portfolio benchmark instead.
+  bench       Run the paper's 18-application Table-1 suite and print its
+              ETR/ECS rows and per-size means beside the paper's Table 2;
+              `bench --scale` runs the portfolio benchmark instead.
   workloads   List, convert, generate and validate workloads.
   sweep       Repeat explore over a range of seeds and aggregate.
   serve-bench Replay a randomized request stream (with controllable
@@ -95,8 +95,11 @@ constexpr const char* kBenchUsage =
     R"(Usage: nocmap bench [--scale] [options]
 
 Run the full Table-1 suite (or one NoC size of it) through the Explorer and
-print one ETR/ECS row per application — the reproduction of Table 2. One
-mode runs a benchmark instead, with its own options:
+print one ETR/ECS row per application, then the reproduction of Table 2:
+the mean ETR and ECS (at --tech) of each NoC size beside the paper's ETR,
+ECS 0.35u and ECS 0.07u, and an Average row that is the mean of the size
+rows, as the paper's is. One mode runs a benchmark instead, with its own
+options:
 
   --scale   the paper-scale portfolio benchmark (`nocmap bench --scale --help`)
 )";
@@ -985,9 +988,9 @@ class Fmt {
   std::string time(double ns) const {
     return csv_ ? util::format_fixed(ns, 3) : util::format_time_ns(ns);
   }
-  std::string percent(double fraction) const {
+  std::string percent(double fraction, int decimals = 1) const {
     return csv_ ? util::format_fixed(fraction * 100.0, 2)
-                : util::format_percent(fraction);
+                : util::format_percent(fraction, decimals);
   }
 
  private:
@@ -1131,8 +1134,9 @@ int cmd_bench_suite(const RunArgs& args) {
                          fmt.head("ECS", "pct")});
   // The historical title is kept byte-for-byte on the mesh path.
   const std::string& topology = args.topologies.front();
-  table.set_title("nocmap bench — Table-1 suite, " + tech.name +
-                  (topology == "mesh" ? "" : ", " + topology));
+  const std::string setting =
+      tech.name + (topology == "mesh" ? "" : ", " + topology);
+  table.set_title("nocmap bench — Table-1 suite, " + setting);
 
   // Explore every application, in parallel when --threads allows: each entry
   // is an independent Explorer run with its own seed-derived randomness, so
@@ -1161,13 +1165,60 @@ int cmd_bench_suite(const RunArgs& args) {
     }
     current_size = entry.noc_size_label();
     table.add_row({entry.name, entry.noc_size_label(),
-                   std::to_string(entry.paper_cores),
-                   std::to_string(entry.paper_packets),
-                   fmt.count(entry.paper_bits), cmp.cdcm.method,
+                   std::to_string(entry.cdcg.num_cores()),
+                   std::to_string(entry.cdcg.num_packets()),
+                   fmt.count(entry.cdcg.total_bits()), cmp.cdcm.method,
                    fmt.percent(cmp.execution_time_reduction()),
                    fmt.percent(cmp.energy_saving())});
   }
   print_table(table, args.csv);
+
+  // Table 2 proper: each NoC size's mean beside the paper's row, then an
+  // Average row that is the mean of the size rows, as the paper's is. Our
+  // means get two decimals, like the paper's ECS 0.35u; the paper's cells
+  // keep its printed precision.
+  util::TextTable means({"NoC", fmt.head("ETR", "pct"), fmt.head("ECS", "pct"),
+                         fmt.head("Paper ETR", "pct"),
+                         fmt.head("Paper ECS 0.35u", "pct"),
+                         fmt.head("Paper ECS 0.07u", "pct")});
+  means.set_title("Table 2 — mean per NoC size, " + setting +
+                  ", beside the paper");
+  const auto add_means = [&](double etr, double ecs,
+                             const workload::PaperTable2Row& paper) {
+    const auto cell = [&](double pct, int decimals) {
+      return util::format_fixed(pct, decimals) + (args.csv ? "" : " %");
+    };
+    means.add_row({std::string(paper.noc_size), fmt.percent(etr, 2),
+                   fmt.percent(ecs, 2), cell(paper.etr_pct, 0),
+                   cell(paper.ecs_035u_pct, 2), cell(paper.ecs_007u_pct, 0)});
+  };
+  double etr_sum = 0.0, ecs_sum = 0.0;
+  workload::PaperTable2Row paper_sum{"Average", 0.0, 0.0, 0.0};
+  std::size_t sizes = 0;
+  for (const workload::PaperTable2Row& paper : workload::kPaperTable2) {
+    double etr = 0.0, ecs = 0.0;
+    std::size_t apps = 0;
+    for (std::size_t i = 0; i < suite.size(); ++i) {
+      if (suite[i].noc_size_label() != paper.noc_size) continue;
+      etr += comparisons[i]->execution_time_reduction();
+      ecs += comparisons[i]->energy_saving();
+      ++apps;
+    }
+    if (apps == 0) continue;
+    add_means(etr / apps, ecs / apps, paper);
+    etr_sum += etr / apps;
+    ecs_sum += ecs / apps;
+    paper_sum.etr_pct += paper.etr_pct;
+    paper_sum.ecs_035u_pct += paper.ecs_035u_pct;
+    paper_sum.ecs_007u_pct += paper.ecs_007u_pct;
+    ++sizes;
+  }
+  paper_sum.etr_pct /= sizes;
+  paper_sum.ecs_035u_pct /= sizes;
+  paper_sum.ecs_007u_pct /= sizes;
+  means.add_separator();
+  add_means(etr_sum / sizes, ecs_sum / sizes, paper_sum);
+  print_table(means, args.csv);
   return 0;
 }
 
@@ -1242,9 +1293,9 @@ int cmd_workloads_list(const std::string& spec, bool csv) {
     }
     for (const workload::SuiteEntry& entry : workload::table1_suite()) {
       table.add_row({entry.name, entry.noc_size_label(),
-                     std::to_string(entry.paper_cores),
-                     std::to_string(entry.paper_packets),
-                     fmt.count(entry.paper_bits),
+                     std::to_string(entry.cdcg.num_cores()),
+                     std::to_string(entry.cdcg.num_packets()),
+                     fmt.count(entry.cdcg.total_bits()),
                      workload::small_enough_for_exhaustive(entry.noc_width,
                                                            entry.noc_height)
                          ? "yes"
