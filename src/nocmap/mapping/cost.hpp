@@ -59,9 +59,10 @@ class CostFunction {
   /// cost(m), bit for bit, whenever that is <= reject_above; otherwise any
   /// value above reject_above. A search that keeps only candidates at or
   /// below an incumbent passes the incumbent, and an objective that can
-  /// tell a loser early may stop pricing it there: CdcmCost stops the
-  /// simulation once the energy so far exceeds the bound. The default
-  /// calls cost(m).
+  /// tell a loser early may stop pricing it there: CdcmCost does not
+  /// simulate when the energy of the contention-free schedule already
+  /// exceeds the bound, and otherwise stops the simulation once the energy
+  /// so far does. The default calls cost(m).
   virtual double cost_within(const Mapping& m,
                              [[maybe_unused]] double reject_above) const {
     return cost(m);
@@ -329,8 +330,9 @@ class CdcmCost final : public CostFunction {
            sim::SimOptions sim_options = {});
 
   double cost(const Mapping& m) const override;
-  /// The simulation stops once its energy so far exceeds reject_above
-  /// (sim::Simulator::run); a stopped run is never cached.
+  /// A bounded sim::Simulator::run: it stops at the contention-free floor
+  /// or once its energy so far exceeds reject_above; a stopped run is never
+  /// cached.
   double cost_within(const Mapping& m, double reject_above) const override;
   std::string name() const override { return "CDCM"; }
   std::size_t num_cores() const override { return cdcg_.num_cores(); }

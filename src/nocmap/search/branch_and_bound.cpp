@@ -188,8 +188,14 @@ class ShardRunner {
 
   void evaluate_leaf() {
     leaf_.set_assignment(assignment_);
-    const double c = cost_.cost(leaf_);
+    // Priced against the prune limit: a leaf above it can neither become
+    // the incumbent nor beat the optimum of a completed tree, which costs
+    // at most the seeded incumbent, so only some value above the limit is
+    // needed from it, and every other leaf is priced exactly.
+    const double limit = prune_limit();
+    const double c = cost_.cost_within(leaf_, limit);
     ++out_.leaf_evals;
+    if (c > limit) return;
     // Strict pruning guarantees every optimum in the space is evaluated, so
     // breaking cost ties toward the lexicographically smallest assignment
     // makes the final winner independent of the visit order — and equal to

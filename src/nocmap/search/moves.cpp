@@ -24,9 +24,10 @@ LargeNeighborhoodMoves::LargeNeighborhoodMoves(const graph::Cwg& cwg,
                                                const noc::Topology& topo,
                                                noc::RoutingAlgorithm routing,
                                                LnsOptions options)
-    : cwg_(&cwg),
-      topo_(&topo),
+    : topo_(&topo),
       table_(topo, routing),
+      edges_(cwg.edges()),
+      traffic_(cwg.num_cores(), 0),
       options_(options),
       num_tiles_(topo.num_tiles()) {
   // Clamp degenerate knobs so every rng draw below has a nonempty range.
@@ -37,6 +38,10 @@ LargeNeighborhoodMoves::LargeNeighborhoodMoves(const graph::Cwg& cwg,
   adjacency_.resize(num_tiles_);
   for (noc::TileId t = 0; t < num_tiles_; ++t) {
     adjacency_[t] = topo.neighbours(t);
+  }
+  for (const graph::CwgEdge& e : edges_) {  // The CWG has no self-loops.
+    traffic_[e.src] += e.bits;
+    traffic_[e.dst] += e.bits;
   }
 }
 
@@ -132,14 +137,13 @@ bool LargeNeighborhoodMoves::is_tabu(graph::CoreId core,
 
 bool LargeNeighborhoodMoves::propose_ejection(const mapping::Mapping& m,
                                               util::Rng& rng, Move& out) {
-  const std::vector<graph::CwgEdge>& edges = cwg_->edges();
   // Sample a few edges and eject the worst: cost contribution under the
   // current mapping is bits x hops (energy per bit is monotone in hops, so
   // the ranking matches the energy ranking up to the per-hop affinity).
   const graph::CwgEdge* worst = nullptr;
   double worst_score = -1.0;
   for (std::uint32_t i = 0; i < options_.ejection_candidates; ++i) {
-    const graph::CwgEdge& e = edges[rng.index(edges.size())];
+    const graph::CwgEdge& e = edges_[rng.index(edges_.size())];
     const double score =
         static_cast<double>(e.bits) *
         table_.hops(m.tile_of(e.src), m.tile_of(e.dst));
@@ -150,13 +154,8 @@ bool LargeNeighborhoodMoves::propose_ejection(const mapping::Mapping& m,
   }
   // Move the endpoint with less total traffic next to its partner (the
   // lighter core is the cheaper one to uproot).
-  std::uint64_t src_traffic = 0, dst_traffic = 0;
-  for (const graph::CwgEdge& e : edges) {
-    if (e.src == worst->src || e.dst == worst->src) src_traffic += e.bits;
-    if (e.src == worst->dst || e.dst == worst->dst) dst_traffic += e.bits;
-  }
   const graph::CoreId mover =
-      src_traffic <= dst_traffic ? worst->src : worst->dst;
+      traffic_[worst->src] <= traffic_[worst->dst] ? worst->src : worst->dst;
   const graph::CoreId partner = mover == worst->src ? worst->dst : worst->src;
   const noc::TileId mover_tile = m.tile_of(mover);
   const std::vector<noc::TileId>& adj = adjacency_[m.tile_of(partner)];
@@ -185,8 +184,7 @@ void LargeNeighborhoodMoves::propose(const mapping::Mapping& m, util::Rng& rng,
   const std::uint32_t w_rev = num_tiles_ >= 2 ? options_.reversal_weight : 0;
   const std::uint32_t w_rot = num_tiles_ >= 2 ? options_.rotation_weight : 0;
   const std::uint32_t w_rel = options_.relocation_weight;
-  const std::uint32_t w_ej =
-      cwg_->edges().empty() ? 0 : options_.ejection_weight;
+  const std::uint32_t w_ej = edges_.empty() ? 0 : options_.ejection_weight;
   const std::uint32_t total = w_swap + w_rev + w_rot + w_rel + w_ej;
   std::uint64_t r = total ? rng.index(total) : 0;
 

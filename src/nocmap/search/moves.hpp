@@ -116,8 +116,8 @@ struct LnsOptions {
 
 /// The full catalogue behind one MoveGenerator. Needs the CWG (worst-edge
 /// selection), the topology geometry (segments, windows, adjacency) and the
-/// routing algorithm (hop counts at the current mapping). The referenced
-/// CWG and topology must outlive the generator.
+/// routing algorithm (hop counts at the current mapping). The CWG is read
+/// at construction; the referenced topology must outlive the generator.
 class LargeNeighborhoodMoves final : public MoveGenerator {
  public:
   LargeNeighborhoodMoves(const graph::Cwg& cwg, const noc::Topology& topo,
@@ -140,9 +140,13 @@ class LargeNeighborhoodMoves final : public MoveGenerator {
 
   bool is_tabu(graph::CoreId core, noc::TileId tile) const;
 
-  const graph::Cwg* cwg_;
   const noc::Topology* topo_;
   noc::RouteTable table_;
+  /// The CWG's edges in (src, dst) order and each core's total traffic
+  /// (bits on its incident edges), built once: the ejection proposal
+  /// samples the one and compares the other.
+  std::vector<graph::CwgEdge> edges_;
+  std::vector<std::uint64_t> traffic_;
   LnsOptions options_;
   std::uint32_t num_tiles_;
   std::vector<std::vector<noc::TileId>> adjacency_;  ///< Per tile.

@@ -1,6 +1,7 @@
 #pragma once
 /// \file event_queue.hpp
-/// The simulator's event queue: a flat 4-ary min-heap over bit-packed keys.
+/// The simulator's event queues: a flat 4-ary min-heap over bit-packed keys,
+/// and the integer-time bucket calendar.
 ///
 /// The wormhole scheduler pops header-arrival events in (time, packet, hop)
 /// order. Three properties make a specialized queue much faster than the
@@ -11,7 +12,9 @@
 ///    time can be compared as a uint64_t (one integer compare instead of a
 ///    NaN-aware floating-point compare), and the (packet, hop) tie-break
 ///    packs into a second uint64_t. The full (time, packet, hop) order is a
-///    two-word lexicographic integer compare.
+///    two-word lexicographic integer compare. When every time is an exact
+///    integer below 2^45, (time, packet) packs into one word (WordKey) and
+///    the hop moves out of the key into a per-packet array.
 ///  * A 4-ary layout halves the tree depth of a binary heap, trading two
 ///    extra (cache-local) child compares per level for half the levels —
 ///    a consistent win at the heap sizes the simulator produces.
@@ -30,6 +33,7 @@
 #include <cstdint>
 #include <cstring>
 #include <stdexcept>
+#include <type_traits>
 #include <vector>
 
 namespace nocmap::sim::detail {
@@ -69,16 +73,41 @@ struct QueuedEvent {
   }
 };
 
-/// Min-heap of QueuedEvents with 4 children per node, stored flat.
-class EventQueue {
+/// One-word key of an integer-time event: time << 19 | packet. A packet has
+/// at most one queued event, so (time, packet) is unique and the integer
+/// order of the keys is the (time, packet, hop) order; the hop is stored
+/// per packet beside the queue. Valid for times below 2^45 ns and packet
+/// ids below 2^19, which the simulator checks at bind time.
+struct WordKey {
+  static constexpr unsigned kPacketBits = 19;
+  static constexpr std::uint32_t kMaxPackets = 1u << kPacketBits;
+  static constexpr std::uint64_t kMaxTime = 1ull << (64 - kPacketBits);
+
+  static std::uint64_t make(double time_ns, std::uint32_t packet) {
+    return (static_cast<std::uint64_t>(static_cast<std::int64_t>(time_ns))
+            << kPacketBits) |
+           packet;
+  }
+  static double time_ns(std::uint64_t key) {
+    return static_cast<double>(static_cast<std::int64_t>(key >> kPacketBits));
+  }
+  static std::uint32_t packet(std::uint64_t key) {
+    return static_cast<std::uint32_t>(key) & (kMaxPackets - 1);
+  }
+};
+
+/// Min-heap of keys (QueuedEvent or a WordKey word) with 4 children per
+/// node, stored flat.
+template <class Key>
+class EventHeap {
  public:
   void reserve(std::size_t n) { heap_.reserve(n); }
   void clear() { heap_.clear(); }
   bool empty() const { return heap_.empty(); }
   std::size_t size() const { return heap_.size(); }
-  const QueuedEvent& min() const { return heap_.front(); }
+  const Key& min() const { return heap_.front(); }
 
-  void push(QueuedEvent e) {
+  void push(Key e) {
     std::size_t i = heap_.size();
     heap_.push_back(e);
     while (i != 0) {
@@ -90,9 +119,9 @@ class EventQueue {
     heap_[i] = e;
   }
 
-  QueuedEvent pop_min() {
-    const QueuedEvent top = heap_.front();
-    const QueuedEvent last = heap_.back();
+  Key pop_min() {
+    const Key top = heap_.front();
+    const Key last = heap_.back();
     heap_.pop_back();
     if (!heap_.empty()) sift_down(last);
     return top;
@@ -100,25 +129,21 @@ class EventQueue {
 
   /// Pop the minimum and push `e` in one sift-down — the fast path for
   /// "this packet's header moves on to its next hop".
-  QueuedEvent replace_min(QueuedEvent e) {
-    const QueuedEvent top = heap_.front();
+  Key replace_min(Key e) {
+    const Key top = heap_.front();
     sift_down(e);
     return top;
   }
 
  private:
   /// Place `v` starting from the root, moving smaller children up.
-  void sift_down(QueuedEvent v) {
+  void sift_down(Key v) {
     const std::size_t n = heap_.size();
     std::size_t i = 0;
     for (;;) {
-      std::size_t child = (i << 2) + 1;
+      const std::size_t child = (i << 2) + 1;
       if (child >= n) break;
-      const std::size_t end = child + 4 < n ? child + 4 : n;
-      std::size_t best = child;
-      for (std::size_t c = child + 1; c < end; ++c) {
-        if (heap_[c] < heap_[best]) best = c;
-      }
+      const std::size_t best = min_child(child, child + 4 < n ? child + 4 : n);
       if (!(heap_[best] < v)) break;
       heap_[i] = heap_[best];
       i = best;
@@ -126,8 +151,33 @@ class EventQueue {
     heap_[i] = v;
   }
 
-  std::vector<QueuedEvent> heap_;
+  /// The index of the smallest key in [first, end). One-word keys keep the
+  /// running minimum in a register and select it without a branch; a
+  /// two-word compare branches on the time word, which rarely ties, so it
+  /// tracks the index alone.
+  std::size_t min_child(std::size_t first, std::size_t end) const {
+    std::size_t best = first;
+    if constexpr (std::is_integral_v<Key>) {
+      Key best_key = heap_[first];
+      for (std::size_t c = first + 1; c < end; ++c) {
+        const Key key = heap_[c];
+        const bool less = key < best_key;
+        best = less ? c : best;
+        best_key = less ? key : best_key;
+      }
+    } else {
+      for (std::size_t c = first + 1; c < end; ++c) {
+        if (heap_[c] < heap_[best]) best = c;
+      }
+    }
+    return best;
+  }
+
+  std::vector<Key> heap_;
 };
+
+/// The general queue: two-word keys, any non-negative time.
+using EventQueue = EventHeap<QueuedEvent>;
 
 /// Monotone bucket calendar: the simulator's fast-path queue.
 ///
@@ -145,13 +195,13 @@ class EventQueue {
 ///    extraction is a find-first-set away instead of a heap sift;
 ///  * a packet has at most one in-flight event, so the per-bucket chains
 ///    need exactly one uint32 per packet, and an entry packs as
-///    (hop << 20 | packet + 1) — bucket order by packet id IS the
-///    deterministic (time, packet, hop) order of EventQueue.
+///    (hop << 19 | packet + 1) — bucket order by packet id IS the
+///    deterministic (time, packet, hop) order of the heaps.
 ///
 /// The simulator verifies the integrality preconditions (and a horizon
-/// bound, since buckets are O(max time)) at bind time and falls back to
-/// EventQueue otherwise; both queues pop in the identical total order, so
-/// results are byte-identical either way.
+/// bound of 2^24 ns, since buckets are O(max time)) at bind time and falls
+/// back to a heap otherwise; all queues pop in the identical total order,
+/// so results are byte-identical either way.
 class BucketQueue {
  public:
   /// Entry layout: bit 31 = "has a chain successor", bits 30..19 = hop,

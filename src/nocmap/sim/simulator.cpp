@@ -11,6 +11,19 @@ namespace nocmap::sim {
 
 namespace {
 constexpr double kNoBound = std::numeric_limits<double>::infinity();
+
+/// An event as the loop reads it, whatever its queue's key format.
+struct Event {
+  double time_ns;
+  graph::PacketId packet;
+  std::uint32_t hop;
+};
+
+/// Only a dependence cycle could drain a queue early, and the CDCG was
+/// validated acyclic at construction.
+[[noreturn]] void throw_undelivered() {
+  throw std::logic_error("simulate: not all packets were delivered");
+}
 }  // namespace
 
 Simulator::Simulator(const graph::Cdcg& cdcg, const noc::Topology& topo,
@@ -38,9 +51,15 @@ Simulator::Simulator(const graph::Cdcg& cdcg, const noc::Topology& topo,
   flits_.reserve(num_packets);
   comp_ns_.reserve(num_packets);
   num_preds_.reserve(num_packets);
+  src_core_.reserve(num_packets);
+  dst_core_.reserve(num_packets);
+  bits_.reserve(num_packets);
   for (graph::PacketId p = 0; p < num_packets; ++p) {
     const graph::Packet& pk = cdcg_.packet(p);
     const double flits = static_cast<double>(tech_.flits(pk.bits));
+    src_core_.push_back(pk.src);
+    dst_core_.push_back(pk.dst);
+    bits_.push_back(static_cast<double>(pk.bits));
     flits_.push_back(flits);
     comp_ns_.push_back(static_cast<double>(pk.comp_time) * lambda_);
     num_preds_.push_back(
@@ -52,14 +71,15 @@ Simulator::Simulator(const graph::Cdcg& cdcg, const noc::Topology& topo,
     succ_list_.insert(succ_list_.end(), succ.begin(), succ.end());
     hp.succ_end = static_cast<std::uint32_t>(succ_list_.size());
   }
+  topo_order_ = cdcg_.topological_order();
+  floor_ready_.resize(num_packets);
 
   // Packets incident to each core — counting sort into CSR. A packet shows
   // up in both its endpoints' lists (src != dst is a CDCG invariant).
   core_pkt_off_.assign(num_cores + 1, 0);
   for (graph::PacketId p = 0; p < num_packets; ++p) {
-    const graph::Packet& pk = cdcg_.packet(p);
-    ++core_pkt_off_[pk.src + 1];
-    ++core_pkt_off_[pk.dst + 1];
+    ++core_pkt_off_[src_core_[p] + 1];
+    ++core_pkt_off_[dst_core_[p] + 1];
   }
   for (std::size_t c = 1; c <= num_cores; ++c) {
     core_pkt_off_[c] += core_pkt_off_[c - 1];
@@ -68,9 +88,8 @@ Simulator::Simulator(const graph::Cdcg& cdcg, const noc::Topology& topo,
   std::vector<std::uint32_t> fill(core_pkt_off_.begin(),
                                   core_pkt_off_.end() - 1);
   for (graph::PacketId p = 0; p < num_packets; ++p) {
-    const graph::Packet& pk = cdcg_.packet(p);
-    core_pkt_list_[fill[pk.src]++] = p;
-    core_pkt_list_[fill[pk.dst]++] = p;
+    core_pkt_list_[fill[src_core_[p]]++] = p;
+    core_pkt_list_[fill[dst_core_[p]]++] = p;
   }
 
   local_in_.reserve(topo_.num_tiles());
@@ -108,37 +127,53 @@ Simulator::Simulator(const graph::Cdcg& cdcg, const noc::Topology& topo,
   }
   while (arena_stride_ < max_links) arena_stride_ <<= 1;
   links_arena_.resize(num_packets * arena_stride_);
+  ebit_.resize(max_links + 2, 0.0);
+  for (std::uint32_t k = 1; k <= max_links + 1; ++k) {
+    ebit_[k] = energy::dynamic_bit_energy(tech_, k);
+  }
 
   // --- Integer-time fast-path eligibility ----------------------------------
   // Exact checks, not preset assumptions: every timing constant must be an
   // exact non-negative integer number of nanoseconds (then all event times
   // are integer-valued doubles and double arithmetic is exact), ids must
-  // fit the packed bucket-entry format, and the worst-case schedule horizon
-  // must be small enough that bucket count stays sane.
+  // fit the packed key formats, and the worst-case schedule horizon must
+  // fit them too: 2^24 ns for the calendar, whose bucket count is the
+  // horizon, and 2^45 ns for one-word keys.
   const auto integral = [](double v) {
     return v >= 0.0 && v < 9.0e15 &&
            static_cast<double>(static_cast<std::uint64_t>(v)) == v;
   };
-  bool eligible = options_.backend == SimBackend::kLinkClaim &&
-                  num_packets > 0 &&
-                  num_packets < detail::BucketQueue::kMaxPackets &&
-                  integral(tr_) && integral(tl_) && max_links > 0 &&
-                  max_links + 1 < detail::BucketQueue::kMaxHops;
-  for (graph::PacketId p = 0; eligible && p < num_packets; ++p) {
-    eligible = integral(comp_ns_[p]) && integral(hot_[p].n_tl);
+  bool integer_time =
+      num_packets > 0 && integral(tr_) && integral(tl_) && max_links > 0;
+  for (graph::PacketId p = 0; integer_time && p < num_packets; ++p) {
+    integer_time = integral(comp_ns_[p]) && integral(hot_[p].n_tl);
   }
-  if (eligible) {
-    // Horizon bound: each of a packet's events advances the latest time by
-    // at most tr + tl + n_tl, so the schedule ends below this sum for any
-    // mapping (16.7M buckets is the cutoff before memory gets silly).
+  if (integer_time) {
+    // Horizon bound: each of a packet's events advances the latest time
+    // (queued, link-free, port or delivery) by at most tr + tl + n_tl, plus
+    // one tl of on/off signalling lag under the flit backend, and its
+    // injection by comp + tl, so the schedule ends below this sum for any
+    // mapping.
+    const double gate_lag =
+        options_.backend == SimBackend::kFlit ? tl_ : 0.0;
     double horizon = 0.0;
     for (graph::PacketId p = 0; p < num_packets; ++p) {
       horizon += comp_ns_[p] + static_cast<double>(max_links + 2) *
-                                   (tr_ + tl_ + hot_[p].n_tl);
+                                   (tr_ + tl_ + gate_lag + hot_[p].n_tl);
     }
-    bucket_mode_ = horizon <= static_cast<double>(1u << 24);
+    if (options_.backend == SimBackend::kLinkClaim &&
+        num_packets < detail::BucketQueue::kMaxPackets &&
+        max_links + 1 < detail::BucketQueue::kMaxHops &&
+        horizon <= static_cast<double>(1u << 24)) {
+      scalar_queue_ = ScalarQueue::kCalendar;
+      bucket_.init(num_packets);
+    } else if (num_packets <= detail::WordKey::kMaxPackets &&
+               horizon < static_cast<double>(detail::WordKey::kMaxTime)) {
+      scalar_queue_ = ScalarQueue::kWordHeap;
+      word_queue_.reserve(num_packets + 1);
+      word_hop_.resize(num_packets);
+    }
   }
-  if (bucket_mode_) bucket_.init(num_packets);
 
   // --- Checkpointed incremental evaluation ---------------------------------
   // Eligibility is exact, not assumed: the restore argument needs strictly
@@ -181,9 +216,8 @@ Simulator::Simulator(const graph::Cdcg& cdcg, const noc::Topology& topo,
 }
 
 void Simulator::rebind_packet(graph::PacketId p) {
-  const graph::Packet& pk = cdcg_.packet(p);
-  const noc::TileId src = bound_tiles_[pk.src];
-  const noc::TileId dst = bound_tiles_[pk.dst];
+  const noc::TileId src = bound_tiles_[src_core_[p]];
+  const noc::TileId dst = bound_tiles_[dst_core_[p]];
   const noc::RouteSpan<noc::TileId> routers = routes_.routers(src, dst);
   const noc::RouteSpan<noc::ResourceId> links = routes_.links(src, dst);
   route_routers_[p] = routers.data;
@@ -193,7 +227,7 @@ void Simulator::rebind_packet(graph::PacketId p) {
   src_local_in_[p] = local_in_[src];
   dst_local_out_[p] = local_out_[dst];
   // Dynamic energy depends only on volume and hop count (Equation 4).
-  dyn_energy_[p] = energy::dynamic_packet_energy(tech_, pk.bits, routers.size);
+  dyn_energy_[p] = bits_[p] * ebit_[routers.size];
 }
 
 void Simulator::sync_bind(const mapping::Mapping& mapping) {
@@ -247,25 +281,22 @@ void Simulator::sync_bind(const mapping::Mapping& mapping) {
 }
 
 // --- Queue policies ----------------------------------------------------------
-// Both pop in the same total (time, packet, hop) order. next() yields the
+// All pop in the same total (time, packet, hop) order. next() yields the
 // earliest event; the loop then either advance()s the packet to its next
 // hop or retire()s the event at delivery.
 
-/// The 4-ary heap: serves every run the calendar cannot.
+/// The 4-ary heap over two-word keys: serves every run the integer-time
+/// queues cannot — non-integer timing, traces and checkpoint recording.
 struct Simulator::HeapQueue {
-  static constexpr bool kFusedEjection = false;
   detail::EventQueue& heap;
 
   void push(double time_ns, graph::PacketId p, std::uint32_t hop) {
     heap.push(detail::QueuedEvent::make(time_ns, p, hop));
   }
-  detail::QueuedEvent next() const {
-    // Only a dependence cycle could drain the queue early, and the CDCG was
-    // validated acyclic at construction.
-    if (heap.empty()) {
-      throw std::logic_error("simulate: not all packets were delivered");
-    }
-    return heap.min();
+  Event next() const {
+    if (heap.empty()) throw_undelivered();
+    const detail::QueuedEvent& e = heap.min();
+    return Event{e.time_ns(), e.packet(), e.hop()};
   }
   /// The header's next arrival replaces the popped event in one sift-down.
   void advance(double time_ns, graph::PacketId p, std::uint32_t hop) {
@@ -274,24 +305,43 @@ struct Simulator::HeapQueue {
   void retire() { heap.pop_min(); }
 };
 
-/// The integer-time bucket calendar (see bucket_mode_). It fuses the final
-/// ejection into the last link claim: a delivery only updates successors,
-/// the fused delivery time associates exactly as the unfused one, and
-/// successors still queue in the future, so no scalar result can tell.
-/// Traces and checkpoint snapshots can, so those runs take the heap.
+/// The same heap over one-word (time, packet) keys (ScalarQueue::kWordHeap).
+/// A packet has one queued event, so its hop lives in a per-packet array.
+struct Simulator::WordHeap {
+  detail::EventHeap<std::uint64_t>& heap;
+  std::uint32_t* hops;
+
+  void push(double time_ns, graph::PacketId p, std::uint32_t hop) {
+    hops[p] = hop;
+    heap.push(detail::WordKey::make(time_ns, p));
+  }
+  Event next() const {
+    if (heap.empty()) throw_undelivered();
+    const std::uint64_t key = heap.min();
+    const graph::PacketId p = detail::WordKey::packet(key);
+    return Event{detail::WordKey::time_ns(key), p, hops[p]};
+  }
+  void advance(double time_ns, graph::PacketId p, std::uint32_t hop) {
+    hops[p] = hop;
+    heap.replace_min(detail::WordKey::make(time_ns, p));
+  }
+  void retire() { heap.pop_min(); }
+};
+
+/// The integer-time bucket calendar (ScalarQueue::kCalendar). next()
+/// already pops, so there is nothing to retire.
 struct Simulator::BucketCalendar {
-  static constexpr bool kFusedEjection = true;
   detail::BucketQueue& calendar;
 
   void push(double time_ns, graph::PacketId p, std::uint32_t hop) {
     calendar.push(static_cast<std::size_t>(time_ns), p, hop);
   }
-  detail::QueuedEvent next() {
+  Event next() {
     std::size_t bucket = 0;
     std::uint32_t p = 0;
     std::uint32_t hop = 0;
     calendar.pop_min(bucket, p, hop);  // Throws when drained early.
-    return detail::QueuedEvent::make(static_cast<double>(bucket), p, hop);
+    return Event{static_cast<double>(bucket), p, hop};
   }
   void advance(double time_ns, graph::PacketId p, std::uint32_t hop) {
     push(time_ns, p, hop);
@@ -495,6 +545,37 @@ SimulationResult Simulator::run_traced(const mapping::Mapping& mapping) {
   return out;
 }
 
+double Simulator::contention_free_makespan(const mapping::Mapping& mapping) {
+  sync_bind(mapping);
+  // The snapshots describe the previous run's bindings, not these.
+  ckpt_valid_ = false;
+  return floor_makespan();
+}
+
+/// run_loop()'s arithmetic with every wait +0.0, in topological order: a
+/// packet injects at its latest predecessor delivery plus its computation
+/// time, each of its len - 1 link claims adds tr, then tl, and the
+/// ejection adds tr, then its serialization time. The loop adds each wait
+/// to the arrival before tr, and arrival + 0.0 is the arrival exactly.
+double Simulator::floor_makespan() {
+  std::fill(floor_ready_.begin(), floor_ready_.end(), 0.0);
+  double makespan = 0.0;
+  for (const graph::PacketId p : topo_order_) {
+    const HotPacket& hp = hot_[p];
+    double arrival = (floor_ready_[p] + comp_ns_[p]) + tl_;
+    for (std::uint32_t hop = 1; hop < hp.len; ++hop) {
+      arrival = (arrival + tr_) + tl_;
+    }
+    const double delivered = (arrival + tr_) + hp.n_tl;
+    makespan = std::max(makespan, delivered);
+    for (std::uint32_t i = hp.succ_begin; i < hp.succ_end; ++i) {
+      const graph::PacketId succ = succ_list_[i];
+      floor_ready_[succ] = std::max(floor_ready_[succ], delivered);
+    }
+  }
+  return makespan;
+}
+
 template <bool Full>
 void Simulator::run_impl(const mapping::Mapping& mapping, double reject_above,
                          SimulationResult& out) {
@@ -534,36 +615,56 @@ void Simulator::run_impl(const mapping::Mapping& mapping, double reject_above,
     // too: nothing to simulate.
     out.stopped = true;
   } else {
-    // Traced runs leave the arena in a state the snapshots no longer
-    // describe; the next checkpointed run re-records from scratch.
-    ckpt_valid_ = false;
-    reset_arena<Full>();
-    Progress st;
-    if (options_.backend == SimBackend::kFlit) {
-      std::fill(port_slot_free_.begin(), port_slot_free_.end(), 0.0);
-      std::fill(port_clear_.begin(), port_clear_.end(), 0.0);
-      st = run_from_roots<Full>(HeapQueue{queue_}, FlitGate(*this),
-                                reject_above, out);
-    } else if (!Full && bucket_mode_) {
-      bucket_.begin_run();
-      st = run_from_roots<false>(BucketCalendar{bucket_}, LinkClaim{},
-                                 reject_above, out);
-      if (st.delivered == num_packets) {
-        bucket_.finish_run();
-      } else {
-        // Every injected packet (pending count 0) that is not delivered
-        // holds exactly one queued event.
-        std::size_t injected = 0;
-        for (graph::PacketId p = 0; p < num_packets; ++p) {
-          injected += pending_[p] == 0;
-        }
-        bucket_.abandon_run(injected - st.delivered);
-      }
+    // A bounded run first prices its contention-free schedule. The
+    // simulated makespan is never below that floor, so when the floor
+    // already costs more than the bound, so does the run: report the
+    // floor's makespan, whose total lies above the bound and not above the
+    // cost (docs/simulation.md, "Bounded runs").
+    const double floor = reject_above < kNoBound ? floor_makespan() : 0.0;
+    if (dynamic_j + static_power_ * floor > reject_above) {
+      out.texec_ns = floor;
+      out.stopped = true;
     } else {
-      st = run_from_roots<Full>(HeapQueue{queue_}, LinkClaim{}, reject_above,
-                                out);
+      // Traced runs leave the arena in a state the snapshots no longer
+      // describe; the next checkpointed run re-records from scratch.
+      ckpt_valid_ = false;
+      reset_arena<Full>();
+      const bool flit = options_.backend == SimBackend::kFlit;
+      if (flit) {
+        std::fill(port_slot_free_.begin(), port_slot_free_.end(), 0.0);
+        std::fill(port_clear_.begin(), port_clear_.end(), 0.0);
+      }
+      Progress st;
+      if (!Full && scalar_queue_ == ScalarQueue::kWordHeap) {
+        const WordHeap heap{word_queue_, word_hop_.data()};
+        st = flit ? run_from_roots<false>(heap, FlitGate(*this), reject_above,
+                                          out)
+                  : run_from_roots<false>(heap, LinkClaim{}, reject_above,
+                                          out);
+      } else if (!Full && scalar_queue_ == ScalarQueue::kCalendar) {
+        bucket_.begin_run();
+        st = run_from_roots<false>(BucketCalendar{bucket_}, LinkClaim{},
+                                   reject_above, out);
+        if (st.delivered == num_packets) {
+          bucket_.finish_run();
+        } else {
+          // Every injected packet (pending count 0) that is not delivered
+          // holds exactly one queued event.
+          std::size_t injected = 0;
+          for (graph::PacketId p = 0; p < num_packets; ++p) {
+            injected += pending_[p] == 0;
+          }
+          bucket_.abandon_run(injected - st.delivered);
+        }
+      } else {
+        const HeapQueue heap{queue_};
+        st = flit ? run_from_roots<Full>(heap, FlitGate(*this), reject_above,
+                                         out)
+                  : run_from_roots<Full>(heap, LinkClaim{}, reject_above,
+                                         out);
+      }
+      out.stopped = st.delivered != num_packets;
     }
-    out.stopped = st.delivered != num_packets;
   }
 
   if constexpr (Full) {
@@ -595,6 +696,7 @@ void Simulator::reset_arena() {
   }
   std::fill(link_free_.begin(), link_free_.end(), 0.0);
   queue_.clear();
+  word_queue_.clear();
 }
 
 void Simulator::record_ckpt(const Progress& at, const SimulationResult& out) {
@@ -704,7 +806,8 @@ void Simulator::run_ckpt(SimulationResult& out) {
     // ladder collapsed, so rebuild it while paying the full cost anyway),
     // and (c) every kCkptRefreshPeriod-th restore, because calendar mid-run
     // states cannot be snapshotted.
-    const bool heap_replay = !bucket_mode_ || resume_pops == 0 ||
+    const bool heap_replay = scalar_queue_ != ScalarQueue::kCalendar ||
+                             resume_pops == 0 ||
                              ++ckpt_replays_since_refresh_ >=
                                  kCkptRefreshPeriod;
     if (heap_replay) {
@@ -782,9 +885,13 @@ template <bool Full, bool Ckpt, class Queue, class Flow>
 Simulator::Progress Simulator::run_loop(Queue queue, const Flow& flow,
                                         Progress st, double reject_above,
                                         SimulationResult& out) {
-  static_assert(!Queue::kFusedEjection ||
-                    (!Full && !Ckpt && std::is_same_v<Flow, LinkClaim>),
-                "the fused ejection materializes no ejection event");
+  // The fused ejection: a scalar link-claim run that records no snapshots
+  // delivers each packet at its last link claim. A delivery only updates
+  // successors, the fused delivery time associates exactly as the unfused
+  // one, and successors still queue strictly in the future (tl > 0), so no
+  // scalar result can tell. Traces, snapshots and the flit port drain see
+  // the ejection event, so those runs keep it.
+  constexpr bool kFuse = !Full && !Ckpt && std::is_same_v<Flow, LinkClaim>;
   const std::size_t num_packets = cdcg_.num_packets();
   const std::size_t stride = arena_stride_;
   const double tr = tr_;
@@ -795,6 +902,9 @@ Simulator::Progress Simulator::run_loop(Queue queue, const Flow& flow,
     const double static_j = static_power * st.texec;
     return dynamic_j + static_j > reject_above;
   };
+  // Summed in a register, in pop order as always: the stores to the
+  // double arenas below could alias the result's field.
+  double total_contention = out.total_contention_ns;
   std::uint64_t next_rec = 0;
   if constexpr (Ckpt) {
     next_rec = (st.pops / ckpt_interval_res_ + 1) * ckpt_interval_res_;
@@ -802,26 +912,27 @@ Simulator::Progress Simulator::run_loop(Queue queue, const Flow& flow,
   while (st.delivered != num_packets) {
     if constexpr (Ckpt) {
       if (st.pops == next_rec) {
+        out.total_contention_ns = total_contention;
         record_ckpt(st, out);
         next_rec += ckpt_interval_res_;
       }
       ++st.pops;
     }
-    const detail::QueuedEvent ev = queue.next();
-    const graph::PacketId p = ev.packet();
-    const std::uint32_t hop = ev.hop();
-    const double arrival = ev.time_ns();
+    const Event ev = queue.next();
+    const graph::PacketId p = ev.packet;
+    const std::uint32_t hop = ev.hop;
+    const double arrival = ev.time_ns;
     const HotPacket& hp = hot_[p];
     const double n_tl = hp.n_tl;
 
-    // The calendar never queues an ejection (it fuses them below).
-    if (Queue::kFusedEjection || hop + 1 != hp.len) {
+    // A fused run never queues an ejection.
+    if (kFuse || hop + 1 != hp.len) {
       const noc::ResourceId link = links_arena_[p * stride + hop];
       const double free_at = link_free_[link];
       double wait = arrival < free_at ? free_at - arrival : 0.0;
       flow.admit(link, arrival, wait, out);
       contention_[p] += wait;
-      out.total_contention_ns += wait;
+      total_contention += wait;
       if constexpr (Full) {
         if (wait > 0.0) contended_down_[p] = 1;
       }
@@ -829,9 +940,11 @@ Simulator::Progress Simulator::run_loop(Queue queue, const Flow& flow,
       link_free_[link] = header_out + n_tl;
       flow.claimed(p, hop, header_out, wait, out);
       if constexpr (Full) record_hop(p, hop, link, arrival, header_out, out);
-      if (Queue::kFusedEjection && hop + 2 == hp.len) {
+      if (kFuse && hop + 2 == hp.len) {
         // The final link: eject without a further event, associating as
-        // the unfused ejection does: ((header_out + tl) + tr) + n_tl.
+        // the unfused ejection does: ((header_out + tl) + tr) + n_tl. The
+        // popped event goes before the successors it frees are queued.
+        queue.retire();
         deliver<Full, Ckpt>(queue, p, ((header_out + tl) + tr) + n_tl, st,
                             out);
         if (over_bound()) break;
@@ -854,6 +967,7 @@ Simulator::Progress Simulator::run_loop(Queue queue, const Flow& flow,
       if (over_bound()) break;
     }
   }
+  out.total_contention_ns = total_contention;
   out.texec_ns = st.texec;
   return st;
 }

@@ -24,18 +24,20 @@
 ///    results are byte-identical to a freshly constructed Simulator.
 ///  * One event loop serves every run. It pops header-arrival events in
 ///    fully deterministic (time, packet, hop) order, independent of packet
-///    construction order, from one of two queues (sim/event_queue.hpp): a
-///    flat 4-ary heap of bit-packed keys, or, when every time is an exact
-///    integer, a bucket calendar. A flow-control policy prices each hop:
-///    link claim, or the flit backend's finite buffers. Both choices are
-///    made at construction (docs/simulation.md has the table).
+///    construction order, from one of three queues (sim/event_queue.hpp):
+///    a flat 4-ary heap of two-word keys, the same heap over one-word keys
+///    when every time is an exact integer, or, when the horizon is short
+///    too, a bucket calendar. A flow-control policy prices each hop: link
+///    claim, or the flit backend's finite buffers. Both choices are made at
+///    construction (docs/simulation.md has the table).
 ///
 /// run(mapping) returns a scalars-only result (no per-packet vectors, no
 /// occupancy lists) with zero heap allocations in the steady state.
 /// run_traced(mapping) produces the full SimulationResult of simulate(),
 /// which is a thin wrapper over this class. Both paths run the same event
 /// loop, so scalar and traced results agree bitwise. A scalar run may carry
-/// a rejection bound and stop once its energy is sure to exceed it; the
+/// a rejection bound and stop once its energy is sure to exceed it, first
+/// at its contention-free schedule and then during the simulation; the
 /// unbounded run is the same run with a bound of +infinity.
 ///
 /// A Simulator instance is NOT thread-safe (it mutates its arena); give each
@@ -73,6 +75,17 @@ struct CheckpointStats {
   }
 };
 
+/// The queue a Simulator's scalar runs pop from, chosen from the input at
+/// construction. Traced runs and checkpoint recording always take the
+/// two-word heap. All pop in one total order (docs/simulation.md, "One
+/// event loop, two policies").
+enum class ScalarQueue : std::uint8_t {
+  kHeap,      ///< Two-word keys: any non-negative time.
+  kWordHeap,  ///< One-word keys: integer times, horizon below 2^45 ns.
+  kCalendar,  ///< Buckets: integer times, horizon at most 2^24 ns,
+              ///< link claim only.
+};
+
 class Simulator {
  public:
   /// Binds the application, NoC and technology; validates them once and
@@ -90,12 +103,14 @@ class Simulator {
   ///
   /// `reject_above` bounds the run: it stops as soon as its Equation-10
   /// energy is certain to exceed the bound, before injecting anything when
-  /// the dynamic energy alone does, otherwise at the first delivery after
-  /// which the dynamic energy plus the static power times the makespan so
-  /// far does. A stopped result has `stopped` set and
-  /// energy.total_j() > reject_above; a run that completes is bitwise the
-  /// unbounded run (docs/simulation.md, "Bounded runs"). Runs with
-  /// checkpointing_active() ignore the bound.
+  /// the dynamic energy alone does or when the dynamic energy plus the
+  /// static power times contention_free_makespan() does (the result then
+  /// reports that makespan as texec_ns), otherwise at the first delivery
+  /// after which the dynamic energy plus the static power times the
+  /// makespan so far does. A stopped result has `stopped` set and
+  /// reject_above < energy.total_j() <= the unbounded cost; a run that
+  /// completes is bitwise the unbounded run (docs/simulation.md, "Bounded
+  /// runs"). Runs with checkpointing_active() ignore the bound.
   const SimulationResult& run(
       const mapping::Mapping& mapping,
       double reject_above = std::numeric_limits<double>::infinity());
@@ -104,6 +119,14 @@ class Simulator {
   /// records, hop lists and occupancy lists. This is the semantics of
   /// sim::simulate().
   SimulationResult run_traced(const mapping::Mapping& mapping);
+
+  /// The makespan of `mapping`'s schedule with every wait zero: each
+  /// packet's constants added in the order the event loop adds them, at
+  /// the latest delivery of its predecessors. Rounding is monotone and
+  /// waits are never negative, so this is at most the texec_ns of run()
+  /// bit for bit, under either backend, and equal to it when nothing
+  /// waits. Binds `mapping` like run() does.
+  double contention_free_makespan(const mapping::Mapping& mapping);
 
   /// True when SimOptions::checkpoints is set AND this binding is eligible
   /// (link-claim backend, tr > 0 and tl > 0, at least one packet).
@@ -116,6 +139,8 @@ class Simulator {
   /// SimOptions::checkpoint_interval == 0).
   std::uint64_t checkpoint_interval() const { return ckpt_interval_res_; }
 
+  ScalarQueue scalar_queue() const { return scalar_queue_; }
+
  private:
   /// How far a run has got: deliveries, the makespan so far, and (when
   /// recording checkpoints) the events popped.
@@ -124,11 +149,12 @@ class Simulator {
     double texec = 0.0;
     std::uint64_t pops = 0;
   };
-  // run_loop's queue policies (HeapQueue, BucketCalendar) and flow-control
-  // policies (LinkClaim, FlitGate), defined in simulator.cpp. Queue
-  // policies are one reference wide and pass by value, so the loop keeps
-  // them in registers.
+  // run_loop's queue policies (HeapQueue, WordHeap, BucketCalendar) and
+  // flow-control policies (LinkClaim, FlitGate), defined in simulator.cpp.
+  // Queue policies are at most two pointers wide and pass by value, so the
+  // loop keeps them in registers.
   struct HeapQueue;
+  struct WordHeap;
   struct BucketCalendar;
   struct LinkClaim;
   struct FlitGate;
@@ -137,12 +163,14 @@ class Simulator {
   void run_impl(const mapping::Mapping& mapping, double reject_above,
                 SimulationResult& out);
   /// The one event loop: one event per router of every route, popped from
-  /// `queue` (the heap, or the integer-time calendar), with `flow` adding
-  /// its buffer model's constraints to link arbitration. Full records
-  /// traces; Ckpt (scalar heap runs only) keeps the queued-event shadow and
-  /// snapshots the arena every ckpt_interval_res_ pops. Resumes from `st`,
-  /// and returns early, with packets undelivered, after the first delivery
-  /// that takes the energy so far above `reject_above`.
+  /// `queue` (a heap, or the integer-time calendar), with `flow` adding its
+  /// buffer model's constraints to link arbitration. Full records traces;
+  /// Ckpt (scalar heap runs only) keeps the queued-event shadow and
+  /// snapshots the arena every ckpt_interval_res_ pops. Scalar link-claim
+  /// runs without Ckpt fuse each packet's ejection into its last link
+  /// claim. Resumes from `st`, and returns early, with packets undelivered,
+  /// after the first delivery that takes the energy so far above
+  /// `reject_above`.
   template <bool Full, bool Ckpt, class Queue, class Flow>
   Progress run_loop(Queue queue, const Flow& flow, Progress st,
                     double reject_above, SimulationResult& out);
@@ -166,6 +194,8 @@ class Simulator {
   /// the packets incident to every core that moved.
   void sync_bind(const mapping::Mapping& mapping);
   void rebind_packet(graph::PacketId p);
+  /// contention_free_makespan() of the bound mapping.
+  double floor_makespan();
 
   /// Reset the per-run arena to the pre-injection state (pending counts,
   /// ready/contention times, link busy times, event queue).
@@ -203,6 +233,18 @@ class Simulator {
   std::vector<double> flits_;     ///< Per-packet flit count (as double).
   std::vector<double> comp_ns_;   ///< Per-packet t_aq * lambda.
   std::vector<std::uint32_t> num_preds_;
+  /// What rebind_packet() reads per packet: the endpoint cores and the bit
+  /// volume (as double, the conversion dynamic_packet_energy performs).
+  std::vector<graph::CoreId> src_core_;
+  std::vector<graph::CoreId> dst_core_;
+  std::vector<double> bits_;
+  /// dynamic_bit_energy per router count, up to the longest route;
+  /// bits_[p] * ebit_[k] is bitwise dynamic_packet_energy(tech, bits, k).
+  std::vector<double> ebit_;
+  /// A topological order of the packets, and the per-packet latest
+  /// predecessor delivery of the contention-free schedule.
+  std::vector<graph::PacketId> topo_order_;
+  std::vector<double> floor_ready_;
   /// Successor lists in CSR form: successors of p are
   /// succ_list_[hot_[p].succ_begin .. hot_[p].succ_end).
   std::vector<graph::PacketId> succ_list_;
@@ -269,8 +311,8 @@ class Simulator {
   std::vector<std::uint32_t> ev_hop_;
   std::vector<std::uint8_t> ev_state_;
   CheckpointStats ckpt_stats_;
-  /// Suffix replays normally run on the bucket calendar (when
-  /// bucket_mode_), whose mid-run states cannot be snapshotted (the fused
+  /// Suffix replays normally run on the bucket calendar (when it is the
+  /// scalar queue), whose mid-run states cannot be snapshotted (the fused
   /// ejection applies successor effects at an earlier pop position). Every
   /// kCkptRefreshPeriod-th restored replay runs on the recording heap
   /// instead, so the snapshot ladder regrows behind the walk's earliest
@@ -278,14 +320,16 @@ class Simulator {
   static constexpr std::uint32_t kCkptRefreshPeriod = 16;
   std::uint32_t ckpt_replays_since_refresh_ = 0;
 
-  // --- Integer-time fast path ----------------------------------------------
-  /// True when every timing constant is an exact integer (in ns), routes
-  /// are short enough to pack and the worst-case horizon is bounded —
-  /// verified in the constructor, never assumed.
-  /// Scalar runs then use the bucket calendar; all arithmetic stays exact,
-  /// so results are byte-identical to the heap.
-  bool bucket_mode_ = false;
+  // --- Integer-time fast paths ---------------------------------------------
+  /// The two-word heap unless every timing constant is an exact integer
+  /// (in ns) and the ids and the worst-case horizon fit a faster queue —
+  /// verified in the constructor, never assumed. All arithmetic then stays
+  /// exact, so results are byte-identical to the two-word heap's.
+  ScalarQueue scalar_queue_ = ScalarQueue::kHeap;
   detail::BucketQueue bucket_;
+  /// The one-word heap, with each packet's queued hop beside it.
+  detail::EventHeap<std::uint64_t> word_queue_;
+  std::vector<std::uint32_t> word_hop_;
 
   // --- Flit backend (options_.backend == kFlit) ----------------------------
   /// Per-(packet, hop) header-out history of the current run — the

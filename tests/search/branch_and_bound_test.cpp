@@ -65,8 +65,8 @@ TEST(BranchAndBoundTest, MatchesExhaustiveCdcmOnAllTopologies) {
     SCOPED_TRACE(kind);
     const std::unique_ptr<noc::Topology> topo = noc::make_topology(kind, 3, 3);
     // One cost function for both searches: ES stops simulating losing
-    // candidates, and B&B, which prices in full, runs on the same arena
-    // after it, so a stop must leave nothing behind.
+    // candidates, and B&B, which stops simulating losing leaves too, runs
+    // on the same arena after it, so a stop must leave nothing behind.
     const mapping::CdcmCost cost(cdcg, *topo, tech);
     EsOptions full;
     full.use_symmetry = false;
@@ -290,6 +290,76 @@ TEST(BranchAndBoundTest, CallerIncumbentIsUsed) {
   EXPECT_TRUE(r.exhausted);
   EXPECT_EQ(r.best_cost, es.best_cost);
   EXPECT_EQ(r.initial_cost, es.best_cost);
+}
+
+/// Forwards to a CdcmCost and tallies the leaf prices branch and bound asks
+/// of cost_within(): above the limit it passes, or within it.
+class LeafTally final : public mapping::CostFunction {
+ public:
+  explicit LeafTally(const mapping::CdcmCost& cost) : cost_(cost) {}
+  double cost(const mapping::Mapping& m) const override {
+    return cost_.cost(m);
+  }
+  double cost_within(const mapping::Mapping& m,
+                     double limit) const override {
+    const double c = cost_.cost_within(m, limit);
+    ++(c > limit ? above : within);
+    return c;
+  }
+  std::string name() const override { return cost_.name(); }
+  std::size_t num_cores() const override { return cost_.num_cores(); }
+  bool has_lower_bound() const override { return true; }
+  std::unique_ptr<LowerBound> make_lower_bound() const override {
+    return cost_.make_lower_bound();
+  }
+  std::vector<std::vector<noc::TileId>> symmetry_group(
+      const noc::Topology& topo) const override {
+    return cost_.symmetry_group(topo);
+  }
+
+  mutable std::uint64_t above = 0;
+  mutable std::uint64_t within = 0;
+
+ private:
+  const mapping::CdcmCost& cost_;
+};
+
+/// Leaves are priced against the prune limit, and one priced above it
+/// updates neither its task's best nor the incumbent. A CDCM search seeded
+/// with the optimum and cut at the first budget that prices any leaf has
+/// priced only leaves above the limit: it reports the incumbent, at its
+/// exact cost, not a stopped leaf's partial price.
+TEST(BranchAndBoundTest, LeavesPricedAboveTheLimitLeaveTheIncumbent) {
+  const energy::Technology tech = energy::technology_0_07u();
+  const graph::Cdcg cdcg = random_workload(6);
+  const std::unique_ptr<noc::Topology> topo = noc::make_topology("mesh", 3, 3);
+  const mapping::CdcmCost cdcm(cdcg, *topo, tech);
+  const SearchResult es = exhaustive_search(cdcm, *topo);
+  LeafTally leaves(cdcm);
+  BnbOptions options;
+  options.seed_with_sa = false;
+  options.incumbent = &es.best;
+  std::optional<SearchResult> truncated;
+  for (options.max_nodes = 1; leaves.above + leaves.within == 0;
+       ++options.max_nodes) {
+    ASSERT_LT(options.max_nodes, 10'000u);
+    truncated = branch_and_bound(leaves, *topo, options);
+  }
+  EXPECT_FALSE(truncated->exhausted);
+  EXPECT_GT(leaves.above, 0u);
+  EXPECT_EQ(leaves.within, 0u);
+  EXPECT_EQ(truncated->best, es.best);
+  EXPECT_EQ(truncated->best_cost, es.best_cost);  // Bitwise: priced in full.
+  EXPECT_EQ(truncated->evaluations, 1 + leaves.above);
+
+  // Run to completion, the same search finds the optimum among the leaves
+  // it prices within the limit.
+  options.max_nodes = 0;
+  const SearchResult full = branch_and_bound(leaves, *topo, options);
+  EXPECT_TRUE(full.exhausted);
+  EXPECT_GT(leaves.within, 0u);
+  EXPECT_EQ(full.best, es.best);
+  EXPECT_EQ(full.best_cost, es.best_cost);
 }
 
 /// A budget-truncated search on a big board eliminates more nodes than the

@@ -5,13 +5,14 @@
 /// order — equal timestamps tie-break by packet id, never by heap insertion
 /// order or queue internals. Two regression angles:
 ///
-///  * the detail::EventQueue / detail::BucketQueue contract directly:
-///    permuted pushes pop in one canonical order;
+///  * the contract of the queues (two-word and one-word heap keys, the
+///    bucket calendar) directly: permuted pushes pop in one canonical order;
 ///  * end to end: two CDCGs that are the same application with packets
 ///    *constructed in permuted order* yield exactly permuted traces — no
 ///    result leaks the construction order.
 
 #include <algorithm>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -70,6 +71,42 @@ TEST(EventQueueTest, ReplaceMinEqualsPopThenPush) {
     b.push(e);
     EXPECT_EQ(from_replace.time_key, from_pop.time_key);
     EXPECT_EQ(from_replace.packet_hop, from_pop.packet_hop);
+  }
+}
+
+/// One-word keys pop in (time, packet) order for any push order, with the
+/// time and packet recovered exactly, up to the largest time and packet id
+/// the format takes.
+TEST(EventQueueTest, WordKeysPopInTimePacketOrderForAnyPushOrder) {
+  const double max_time =
+      static_cast<double>(detail::WordKey::kMaxTime - 1);
+  const std::uint32_t max_packet = detail::WordKey::kMaxPackets - 1;
+  std::vector<std::pair<double, std::uint32_t>> events;
+  for (std::uint32_t i = 0; i < 24; ++i) {
+    // Deliberate timestamp collisions, and the extremes of both fields.
+    events.emplace_back(static_cast<double>((i * 7) % 5), i);
+  }
+  events.emplace_back(max_time, 30);
+  events.emplace_back(max_time, max_packet);
+  events.emplace_back(0.0, max_packet);
+  std::vector<std::pair<double, std::uint32_t>> sorted = events;
+  std::sort(sorted.begin(), sorted.end());
+
+  util::Rng rng(7);
+  for (int trial = 0; trial < 20; ++trial) {
+    std::vector<std::pair<double, std::uint32_t>> shuffled = events;
+    rng.shuffle(shuffled);
+    detail::EventHeap<std::uint64_t> queue;
+    for (const auto& [time, packet] : shuffled) {
+      queue.push(detail::WordKey::make(time, packet));
+    }
+    for (const auto& [time, packet] : sorted) {
+      ASSERT_FALSE(queue.empty());
+      const std::uint64_t key = queue.pop_min();
+      EXPECT_EQ(detail::WordKey::time_ns(key), time);
+      EXPECT_EQ(detail::WordKey::packet(key), packet);
+    }
+    EXPECT_TRUE(queue.empty());
   }
 }
 

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "nocmap/noc/express_mesh.hpp"
 #include "nocmap/noc/torus.hpp"
 #include "nocmap/sim/schedule.hpp"
@@ -129,8 +131,12 @@ TEST(SimulatorTest, RunTracedMatchesSimulateIncludingTraces) {
   }
 }
 
-// On integer timing run() takes the bucket calendar; with a 1.5 ns clock
-// (non-integer flit times) both sides take the heap.
+// On integer timing run() takes the bucket calendar; with a 20 us clock
+// (integer times, a horizon bound past the calendar's 2^24 ns) it takes
+// the one-word heap; with a 1.5 ns clock (non-integer flit times) it takes
+// the two-word heap, and with a 0.3 ns clock, whose times round, so does
+// every association the loop makes. run_traced() always takes the two-word
+// heap.
 TEST(SimulatorTest, RunMatchesRunTracedOnEveryTopologyAndQueue) {
   const graph::Cdcg cdcg = random_cdcg(10, 41);
   const noc::Mesh mesh(4, 3);
@@ -138,15 +144,24 @@ TEST(SimulatorTest, RunMatchesRunTracedOnEveryTopologyAndQueue) {
   const noc::ExpressMesh xmesh(4, 3, 2);
   energy::Technology slow_clock = energy::technology_0_07u();
   slow_clock.clock_period_ns = 1.5;
+  energy::Technology long_clock = energy::technology_0_07u();
+  long_clock.clock_period_ns = 20'000.0;
+  energy::Technology rounding_clock = energy::technology_0_07u();
+  rounding_clock.clock_period_ns = 0.3;
+  const std::pair<energy::Technology, ScalarQueue> clocks[] = {
+      {energy::technology_0_07u(), ScalarQueue::kCalendar},
+      {long_clock, ScalarQueue::kWordHeap},
+      {slow_clock, ScalarQueue::kHeap},
+      {rounding_clock, ScalarQueue::kHeap}};
   for (const noc::Topology* topo :
        {static_cast<const noc::Topology*>(&mesh),
         static_cast<const noc::Topology*>(&torus),
         static_cast<const noc::Topology*>(&xmesh)}) {
-    for (const energy::Technology& tech :
-         {energy::technology_0_07u(), slow_clock}) {
+    for (const auto& [tech, queue] : clocks) {
       SCOPED_TRACE(topo->label() + " at " +
                    std::to_string(tech.clock_period_ns) + " ns");
       Simulator simulator(cdcg, *topo, tech);
+      ASSERT_EQ(simulator.scalar_queue(), queue);
       util::Rng rng(5);
       for (int trial = 0; trial < 15; ++trial) {
         const mapping::Mapping m =

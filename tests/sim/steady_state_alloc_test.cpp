@@ -2,8 +2,9 @@
 /// The evaluation hot paths allocate nothing in the steady state: once a
 /// warm-up has grown the arenas, Simulator::run() and the CdcmCost
 /// swap_delta + apply_swap pair price a move without touching the heap,
-/// under the link-claim backend and under the flit backend. So do bounded
-/// runs, stopped or completed, and CdcmCost::cost_within.
+/// under the link-claim backend on each of its queues and under the flit
+/// backend. So do bounded runs, stopped at the contention-free floor or
+/// mid-run, or completed, and CdcmCost::cost_within.
 ///
 /// The binary replaces the global allocation functions with counting
 /// versions, which is why it is a test executable of its own. The nothrow
@@ -21,7 +22,9 @@
 #include <memory>
 #include <new>
 #include <string>
+#include <vector>
 
+#include "nocmap/energy/energy_model.hpp"
 #include "nocmap/energy/technology.hpp"
 #include "nocmap/graph/cdcg.hpp"
 #include "nocmap/mapping/cost.hpp"
@@ -73,6 +76,26 @@ graph::Cdcg bench_workload(const noc::Topology& topo) {
   return workload::generate_random_cdcg(params, rng);
 }
 
+/// The evaluation bindings: link claim on the calendar (the 0.07u preset's
+/// 1 ns clock) and on the one-word heap (a 20 us clock, whose horizon bound
+/// the calendar refuses), and the flit backend with 8-flit buffers.
+struct Binding {
+  std::string name;
+  sim::SimOptions options;
+  double clock_period_ns;
+  sim::ScalarQueue queue;
+};
+
+std::vector<Binding> bindings() {
+  sim::SimOptions flit;
+  flit.backend = sim::SimBackend::kFlit;
+  flit.buffer_depth = 8;
+  return {{"calendar", sim::SimOptions{}, 1.0, sim::ScalarQueue::kCalendar},
+          {"word-heap", sim::SimOptions{}, 20'000.0,
+           sim::ScalarQueue::kWordHeap},
+          {"flit", flit, 1.0, sim::ScalarQueue::kWordHeap}};
+}
+
 /// Heap allocations made by kCountedMoves calls of `move`, after
 /// kWarmupMoves uncounted calls have grown every buffer it uses.
 template <class Move>
@@ -83,23 +106,19 @@ std::uint64_t steady_state_allocations(Move&& move) {
   return g_allocations.load(std::memory_order_relaxed) - before;
 }
 
-/// The 3x3 and 8x8 meshes, under link-claim and under flit with 8-flit
-/// buffers: a random swap walk priced by Simulator::run() and by the
-/// CdcmCost swap_delta + apply_swap pair.
+/// The 3x3 and 8x8 meshes, in every binding: a random swap walk priced by
+/// Simulator::run() and by the CdcmCost swap_delta + apply_swap pair.
 TEST(SteadyStateAllocTest, PricingAMoveAllocatesNothing) {
-  const energy::Technology tech = energy::technology_0_07u();
   for (const std::uint32_t side : {3u, 8u}) {
-    for (const bool flit : {false, true}) {
-      SCOPED_TRACE(std::to_string(side) + "x" + std::to_string(side) +
-                   (flit ? " flit" : " link-claim"));
+    for (const Binding& binding : bindings()) {
+      SCOPED_TRACE(std::to_string(side) + "x" + std::to_string(side) + " " +
+                   binding.name);
+      energy::Technology tech = energy::technology_0_07u();
+      tech.clock_period_ns = binding.clock_period_ns;
+      const sim::SimOptions& options = binding.options;
       const std::unique_ptr<noc::Topology> topo =
           noc::make_topology("mesh", side, side);
       const graph::Cdcg cdcg = bench_workload(*topo);
-      sim::SimOptions options;
-      if (flit) {
-        options.backend = sim::SimBackend::kFlit;
-        options.buffer_depth = 8;
-      }
       util::Rng rng(2);
       const auto draw_swap = [&](noc::TileId& a, noc::TileId& b) {
         a = static_cast<noc::TileId>(rng.index(topo->num_tiles()));
@@ -109,6 +128,7 @@ TEST(SteadyStateAllocTest, PricingAMoveAllocatesNothing) {
       };
 
       sim::Simulator simulator(cdcg, *topo, tech, options);
+      ASSERT_EQ(simulator.scalar_queue(), binding.queue);
       mapping::Mapping m(*topo, cdcg.num_cores());
       EXPECT_EQ(steady_state_allocations([&] {
                   noc::TileId a, b;
@@ -133,26 +153,25 @@ TEST(SteadyStateAllocTest, PricingAMoveAllocatesNothing) {
   }
 }
 
-/// Bounded runs on the bucket calendar (link-claim, the 0.07u preset's
-/// integral times) and on the flit backend at depth 8: a run bounded by its
-/// own dynamic energy stops at its first delivery with packets still
-/// queued, one bounded by its cost completes. CdcmCost::cost_within is
+/// Bounded runs in every binding: a run bounded by its own dynamic energy
+/// stops at the contention-free floor, unsimulated, one bounded by the
+/// floor's energy simulates and may stop mid-run with packets still
+/// queued, and one bounded by its cost completes. CdcmCost::cost_within is
 /// driven as exhaustive search drives it, against the running best, plus a
 /// bound of zero that stops before any injection.
 TEST(SteadyStateAllocTest, BoundedRunsAllocateNothing) {
-  const energy::Technology tech = energy::technology_0_07u();
   for (const std::uint32_t side : {3u, 8u}) {
-    for (const bool flit : {false, true}) {
-      SCOPED_TRACE(std::to_string(side) + "x" + std::to_string(side) +
-                   (flit ? " flit" : " calendar"));
+    for (const Binding& binding : bindings()) {
+      SCOPED_TRACE(std::to_string(side) + "x" + std::to_string(side) + " " +
+                   binding.name);
+      energy::Technology tech = energy::technology_0_07u();
+      tech.clock_period_ns = binding.clock_period_ns;
+      const sim::SimOptions& options = binding.options;
       const std::unique_ptr<noc::Topology> topo =
           noc::make_topology("mesh", side, side);
       const graph::Cdcg cdcg = bench_workload(*topo);
-      sim::SimOptions options;
-      if (flit) {
-        options.backend = sim::SimBackend::kFlit;
-        options.buffer_depth = 8;
-      }
+      const double static_power =
+          energy::static_noc_power(tech, topo->num_tiles());
       util::Rng rng(3);
       mapping::Mapping m(*topo, cdcg.num_cores());
       const auto random_swap = [&] {
@@ -165,19 +184,25 @@ TEST(SteadyStateAllocTest, BoundedRunsAllocateNothing) {
       };
 
       sim::Simulator simulator(cdcg, *topo, tech, options);
+      ASSERT_EQ(simulator.scalar_queue(), binding.queue);
       std::uint64_t stopped = 0;
+      std::uint64_t mid_run = 0;
       std::uint64_t completed = 0;
       EXPECT_EQ(steady_state_allocations([&] {
                   random_swap();
                   const sim::SimulationResult& full = simulator.run(m);
                   const double dynamic = full.energy.dynamic_j;
                   const double total = full.energy.total_j();
+                  const double floor = simulator.contention_free_makespan(m);
                   stopped += simulator.run(m, dynamic).stopped;
+                  mid_run += simulator.run(m, dynamic + static_power * floor)
+                                 .stopped;
                   completed += !simulator.run(m, total).stopped;
                 }),
                 0u)
           << "Simulator::run with a bound";
       EXPECT_EQ(stopped, std::uint64_t{kWarmupMoves + kCountedMoves});
+      EXPECT_GT(mid_run, 0u);
       EXPECT_EQ(completed, std::uint64_t{kWarmupMoves + kCountedMoves});
 
       const mapping::CdcmCost cost(cdcg, *topo, tech,
